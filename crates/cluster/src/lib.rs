@@ -20,12 +20,10 @@
 //! - [`manager`] — the node-manager worker.
 //! - [`parallel`] — the parallel session driver pumping any
 //!   [`Explore`](afex_core::Explore) strategy through a manager pool.
-//! - [`campaign`] — the sharded scheduler fanning a campaign's matrix of
-//!   cells (whole sessions) across the pool with work stealing.
-//! - [`multiplex`] — the long-running pool multiplexing many campaigns'
-//!   chains with round-robin fairness, for the campaign service.
+//! - [`multiplex`] — the long-running pool multiplexing campaigns' cell
+//!   chains with round-robin fairness: one stream for `afex-cli
+//!   campaign`, one per campaign for the campaign service.
 
-pub mod campaign;
 pub mod manager;
 pub mod messages;
 pub mod multiplex;
@@ -33,8 +31,7 @@ pub mod parallel;
 pub mod plugin;
 pub mod scripts;
 
-pub use campaign::{CampaignScheduler, CellChain};
-pub use multiplex::{CellResult, MultiplexPool, StreamId};
+pub use multiplex::{CellChain, CellResult, MultiplexPool, StreamId};
 pub use manager::NodeManager;
 pub use messages::{ManagerMsg, Task, TaskResult};
 pub use parallel::ParallelSession;

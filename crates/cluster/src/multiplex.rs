@@ -1,22 +1,25 @@
 //! A long-running pool multiplexing many campaigns' chains.
 //!
-//! [`CampaignScheduler`](crate::CampaignScheduler) is batch-shaped: it
-//! takes one campaign's chains, drains them, and returns. A campaign
-//! *service* needs the opposite lifecycle — one worker pool that
-//! outlives any campaign, accepts new chain sets while old ones are
-//! still running, and shares the workers fairly among them. That is
-//! [`MultiplexPool`]: submissions are **streams** (one per campaign),
-//! each a set of [`CellChain`]s, and the pool picks runnable cells
-//! round-robin *across streams* at cell granularity, so a freshly
-//! submitted small campaign starts making progress immediately instead
-//! of queueing behind a week-long one.
+//! [`ParallelSession`](crate::ParallelSession) pumps **one** explorer
+//! through the pool; a campaign has a whole matrix of independent cells
+//! (`target × strategy × seed`), each a complete exploration session.
+//! [`MultiplexPool`] parallelizes at cell granularity: one worker pool
+//! that can outlive any campaign, accepts new chain sets while old ones
+//! are still running, and shares the workers fairly among them.
+//! Submissions are **streams** (one per campaign), each a set of
+//! [`CellChain`]s, and the pool picks runnable cells round-robin *across
+//! streams*, so a freshly submitted small campaign starts making progress
+//! immediately instead of queueing behind a week-long one. The one-shot
+//! campaign driver submits a single stream and waits for it; the
+//! campaign service submits one stream per campaign.
 //!
-//! The determinism contract is unchanged from the batch scheduler: a
-//! chain's cells run serialized in order, each seeing state folded from
-//! its predecessors, and state never crosses chains — so every outcome
-//! is a pure function of its chain's initial state and cell order, no
-//! matter how streams interleave on the wall clock or how wide the pool
-//! is. Fairness decides *when* a cell runs, never *what it computes*.
+//! The determinism contract: a chain's cells run serialized in order,
+//! each seeing state folded from its predecessors, and state never
+//! crosses chains — so every outcome is a pure function of its chain's
+//! initial state and cell order, no matter how streams interleave on the
+//! wall clock or how wide the pool is. Fairness decides *when* a cell
+//! runs, never *what it computes*. That is what lets an interrupted
+//! campaign resume to an identical corpus on a pool of any width.
 //!
 //! Completion callbacks are per-stream and run with **no pool lock
 //! held** (each stream's callback serializes on its own mutex), so a
@@ -40,7 +43,6 @@
 //!
 //! [`drain`]: MultiplexPool::drain
 
-use crate::campaign::CellChain;
 use std::collections::{BTreeMap, VecDeque};
 use std::ops::Bound::{Excluded, Unbounded};
 use std::panic::AssertUnwindSafe;
@@ -48,6 +50,16 @@ use std::sync::{Arc, Condvar, Mutex};
 
 /// Identifies one submitted stream (campaign) within a pool.
 pub type StreamId = u64;
+
+/// A dependency chain of cells: they run serialized, in order, threading
+/// `state` from each finished cell into the next.
+pub struct CellChain<S, C> {
+    /// State visible to every cell of the chain, updated after each cell
+    /// completes (e.g. the deduped failure traces found so far).
+    pub state: S,
+    /// The chain's cells, in dependency order.
+    pub cells: Vec<C>,
+}
 
 /// How one picked cell ended, as delivered to its stream's callback.
 #[derive(Debug)]
@@ -139,9 +151,8 @@ where
     /// Starts a pool of `workers` threads. `run_cell(cell, &state)`
     /// executes one cell; `update(&mut state, &cell, &outcome)` folds
     /// the outcome into the chain state before the chain's next cell —
-    /// both shared by every stream, exactly like the batch scheduler's
-    /// per-call arguments (the service runs identical cells for every
-    /// campaign; what differs per campaign is the chains and the
+    /// both shared by every stream (every campaign runs the same cell
+    /// function; what differs per campaign is the chains and the
     /// completion callback).
     ///
     /// # Panics

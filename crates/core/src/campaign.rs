@@ -27,7 +27,7 @@
 //!
 //! Executing cells against real targets lives above this crate (the
 //! `afex` facade wires `afex-targets` spaces in; `afex-cluster` provides
-//! the sharded scheduler that fans cells across the manager pool).
+//! the `MultiplexPool` that runs cells on a worker pool).
 
 use crate::algorithm::ExplorerConfig;
 use crate::genetic::GeneticConfig;

@@ -1,12 +1,13 @@
 //! Campaign execution: the campaign data model wired to real targets.
 //!
 //! [`afex_core::campaign`](crate::core::campaign) defines the matrix,
-//! snapshot, and corpus; [`afex_cluster::CampaignScheduler`] fans cells
-//! across the manager pool. This module supplies the missing pieces —
-//! how one [`CampaignCell`] actually runs against a named target, how
-//! same-target cells chain their redundancy feedback, and the driver
-//! loop the CLI, the daemon, and the integration tests share — plus the
-//! streaming corpus exporter behind `afex-cli campaign --export`.
+//! snapshot, and corpus; [`afex_cluster::MultiplexPool`] runs cells on a
+//! worker pool. This module supplies the missing pieces — how one
+//! [`CampaignCell`] actually runs against a named target, how
+//! same-target cells chain their redundancy feedback, and the pool and
+//! driver loop the CLI, the daemon, and the integration tests share —
+//! plus the streaming corpus exporter behind `afex-cli campaign
+//! --export`.
 //!
 //! The module is the **library layer** of the library/CLI/service split:
 //! everything here returns typed errors and never prints or exits, so
@@ -14,7 +15,8 @@
 //! daemon drive one shared code path.
 //!
 //! - [`mod@self`] — the target/strategy registry and per-cell execution
-//!   ([`run_cell`], the `run_*_windowed` dispatchers, [`chain_seeds`]).
+//!   ([`run_cell`], [`run_windowed`], [`run_proc_windowed`],
+//!   [`chain_seeds`]).
 //! - [`submit`] — building and validating campaign specs from untyped
 //!   options, and loading/validating resumable snapshots.
 //! - [`run`] — driving pending cells to completion with durable
@@ -27,8 +29,9 @@
 //! strategy, seed)` tuple, the spec's budget/stop policy/metric, and the
 //! outcomes of *earlier same-target cells* (whose deduped failure traces
 //! seed its redundancy feedback). Same-target cells therefore run
-//! serialized in cell order on one worker ([`CellChain`]), while cells
-//! of different targets still fan out across the pool. Earlier cells are
+//! serialized in cell order as one
+//! [`CellChain`](afex_cluster::CellChain), while cells of different
+//! targets still fan out across the pool. Earlier cells are
 //! themselves deterministic, so [`run_pending`] produces the same final
 //! snapshot whether the campaign runs in one go, is interrupted and
 //! resumed, or runs on pools of different sizes.
@@ -57,13 +60,16 @@ use crate::core::{
     Engine, Explore, ImpactMetric, OutcomeEvaluator, ProcessEvaluator, ProcessExecutor,
     ProcessRunner, SearchStrategy, SessionResult, StopCondition, TraceStore,
 };
+use crate::inject::TestOutcome;
 use crate::preload::locate;
 use crate::targets::docstore::Version;
 use crate::targets::proc::{ProcTargetSpace, VictimMode};
 use crate::targets::recovery::{EngineKind, RecoverySpace};
 use crate::targets::spaces::TargetSpace;
 use afex_cluster::ParallelSession;
-use afex_space::PointCodec;
+use afex_space::{FaultSpace, Point, PointCodec};
+use std::sync::Arc;
+use std::time::Duration;
 
 /// The canonical campaign-runnable target names.
 pub const TARGETS: [&str; 5] = [
@@ -383,30 +389,17 @@ pub fn chain_seeds_into(
     seeds
 }
 
-/// [`chain_seeds`] served from the snapshot's persisted trace index:
-/// the index's per-target store *is* the completed-prefix corpus (same
-/// prefix walk, maintained incrementally and reloaded with lengths and
-/// signatures intact), so deriving a chain's seed store is one
-/// `Arc`-sharing clone — zero decode passes, zero re-splits. Callers
-/// must [`CampaignSnapshot::ensure_trace_index`] after loading a
-/// snapshot; a target absent from the index has no completed prefix and
-/// seeds empty.
-pub fn chain_seeds_cached(snap: &CampaignSnapshot, target: &str) -> TraceSeeds {
-    TraceSeeds {
-        store: snap
-            .trace_index()
-            .store_for(target)
-            .cloned()
-            .unwrap_or_default(),
-    }
-}
-
-/// [`chain_seeds_cached`] over a pre-populated seed set (the service's
-/// cross-campaign preseed): extends `seeds` with the snapshot's
-/// completed prefix by copying entries out of the trace index
-/// ([`TraceStore::intern_from`]) — decode-free for every trace the
-/// index already measured. An empty preseed short-circuits to a clone
-/// of the index store.
+/// [`chain_seeds_into`] served from the snapshot's persisted trace
+/// index: the index's per-target store *is* the completed-prefix corpus
+/// (same prefix walk, maintained incrementally and reloaded with lengths
+/// and signatures intact). Extends `seeds` (the service's cross-campaign
+/// preseed, or empty) by copying entries out of the index
+/// ([`TraceStore::intern_from`]) — decode-free for every trace the index
+/// already measured — and an empty `seeds` short-circuits to one
+/// `Arc`-sharing clone of the index store: zero decode passes, zero
+/// re-splits. Callers must [`CampaignSnapshot::ensure_trace_index`]
+/// after loading a snapshot; a target absent from the index has no
+/// completed prefix and adds nothing.
 pub fn chain_seeds_cached_into(
     mut seeds: TraceSeeds,
     snap: &CampaignSnapshot,
@@ -474,46 +467,75 @@ pub fn run_cell(cell: &CampaignCell, spec: &CampaignSpec, seeds: &TraceSeeds) ->
         }),
         other => other,
     };
-    let stop = spec.stop.to_condition(spec.iterations);
-    if is_proc_target(&cell.target) {
-        // The CLI validates proc artifacts before any cell runs
-        // (`check_target_artifacts`), so resolution failure here is a
-        // caller bug, not a user error.
-        let ps = proc_target_space(&cell.target)
-            .expect("proc artifacts are checked before cells run");
-        let mut explorer = strategy.build(ps.space_arc(), cell.seed, seeds.store().clone());
-        let result = run_proc_windowed(
-            &ps,
-            m,
-            explorer.as_mut(),
-            stop,
-            spec.cell_workers.0,
-            spec.timeout.0,
-        );
-        let codec = PointCodec::for_space(ps.space())
-            .expect("all campaign target spaces fit u64 point codes");
-        return CellOutcome::from_session(cell.index, &result, &codec);
-    }
-    if let Some(rs) = vfs_target_space(&cell.target) {
-        let mut explorer = strategy.build(rs.space_arc(), cell.seed, seeds.store().clone());
-        let result = run_vfs_windowed(&rs, m, explorer.as_mut(), stop, spec.cell_workers.0);
-        let codec = PointCodec::for_space(rs.space())
-            .expect("all campaign target spaces fit u64 point codes");
-        return CellOutcome::from_session(cell.index, &result, &codec);
-    }
-    let ts = target_space(&cell.target).expect("validated target");
-    let mut explorer = strategy.build(ts.space_arc(), cell.seed, seeds.store().clone());
-    let result = run_windowed(&ts, m, explorer.as_mut(), stop, spec.cell_workers.0);
-    let codec = PointCodec::for_space(ts.space())
-        .expect("all campaign target spaces fit u64 point codes");
+    // The CLI validates proc artifacts before any cell runs
+    // (`check_target_artifacts`), so resolution failure here is a caller
+    // bug, not a user error.
+    let (space, result) = run_target(
+        &cell.target,
+        |space| strategy.build(space, cell.seed, seeds.store().clone()),
+        m,
+        spec.stop.to_condition(spec.iterations),
+        spec.cell_workers.0,
+        spec.timeout.0,
+    )
+    .expect("validated targets with checked proc artifacts resolve");
+    let codec =
+        PointCodec::for_space(&space).expect("all campaign target spaces fit u64 point codes");
     CellOutcome::from_session(cell.index, &result, &codec)
 }
 
-/// Runs a built explorer against a target under `stop` with a
+/// Resolves `target` to its family and runs one session against it
+/// under `stop` with a `workers`-wide engine window: live binaries
+/// through the sandboxed process executor (with `timeout` as the
+/// per-test watchdog budget), `vfs:*` targets through the crash-recovery
+/// oracle, simulated suites in-process. `explorer` builds the session's
+/// explorer over the resolved fault space, which is returned with the
+/// session. The one target dispatch behind [`run_cell`] and
+/// [`run_hunt`].
+///
+/// # Errors
+///
+/// Returns `unknown target` for a name no family resolves, or the
+/// artifact-resolution message for a `proc:*` target whose victim binary
+/// or shim cdylib is missing.
+fn run_target(
+    target: &str,
+    explorer: impl FnOnce(Arc<FaultSpace>) -> Box<dyn Explore>,
+    metric: ImpactMetric,
+    stop: StopCondition,
+    workers: usize,
+    timeout: Duration,
+) -> Result<(Arc<FaultSpace>, SessionResult), String> {
+    if is_proc_target(target) {
+        let ps = proc_target_space(target)?;
+        let mut explorer = explorer(ps.space_arc());
+        let result = run_proc_windowed(&ps, metric, explorer.as_mut(), stop, workers, timeout);
+        return Ok((ps.space_arc(), result));
+    }
+    if let Some(rs) = vfs_target_space(target) {
+        let space = rs.space_arc();
+        let mut explorer = explorer(Arc::clone(&space));
+        let result = windowed(
+            move |p| rs.execute(p),
+            metric,
+            explorer.as_mut(),
+            stop,
+            workers,
+        );
+        return Ok((space, result));
+    }
+    let ts = target_space(target).ok_or_else(|| format!("unknown target `{target}`"))?;
+    let mut explorer = explorer(ts.space_arc());
+    let result = run_windowed(&ts, metric, explorer.as_mut(), stop, workers);
+    Ok((ts.space_arc(), result))
+}
+
+/// Runs a built explorer against a simulated target under `stop` with a
 /// `workers`-wide engine window: batch-parallel on a manager pool (one
 /// copy of the target and the metric per manager) when `workers > 1`,
-/// the sequential engine otherwise. The one dispatch behind campaign
-/// cells and `afex-cli hunt` — deterministic in the window either way.
+/// the sequential engine otherwise. Campaign cells and `afex-cli hunt`
+/// run simulated targets through it — deterministic in the window
+/// either way.
 ///
 /// # Panics
 ///
@@ -525,54 +547,33 @@ pub fn run_windowed(
     stop: StopCondition,
     workers: usize,
 ) -> SessionResult {
-    if workers > 1 {
-        ParallelSession::new(workers).run_with_stop(
-            explorer,
-            |_manager| {
-                let exec = ts.clone();
-                let metric = metric.clone();
-                OutcomeEvaluator::new(move |p| exec.execute(p), metric)
-            },
-            stop,
-        )
-    } else {
-        assert!(workers > 0, "need at least one worker");
-        let exec = ts.clone();
-        let eval = OutcomeEvaluator::new(move |p| exec.execute(p), metric);
-        Engine::sequential().run(explorer, &eval, stop)
-    }
+    let ts = ts.clone();
+    windowed(move |p| ts.execute(p), metric, explorer, stop, workers)
 }
 
-/// [`run_windowed`]'s crash-recovery sibling: runs a built explorer
-/// against a `vfs:*` target — each candidate point is one full
-/// workload + crash + fault-free reopen cycle through the recovery
-/// oracle. Same engine, same determinism contract.
-///
-/// # Panics
-///
-/// Panics if `workers == 0`.
-pub fn run_vfs_windowed(
-    rs: &RecoverySpace,
+/// [`run_windowed`] over any in-process executor: `execute` runs the
+/// test a point denotes (a simulated suite, or a `vfs:*` workload +
+/// crash + fault-free reopen cycle through the recovery oracle). Each
+/// manager of a parallel window gets its own clone of `execute`.
+fn windowed<F>(
+    execute: F,
     metric: ImpactMetric,
     explorer: &mut dyn Explore,
     stop: StopCondition,
     workers: usize,
-) -> SessionResult {
+) -> SessionResult
+where
+    F: Fn(&Point) -> TestOutcome + Clone + Sync,
+{
     if workers > 1 {
         ParallelSession::new(workers).run_with_stop(
             explorer,
-            |_manager| {
-                let exec = rs.clone();
-                let metric = metric.clone();
-                OutcomeEvaluator::new(move |p| exec.execute(p), metric)
-            },
+            |_manager| OutcomeEvaluator::new(execute.clone(), metric.clone()),
             stop,
         )
     } else {
         assert!(workers > 0, "need at least one worker");
-        let exec = rs.clone();
-        let eval = OutcomeEvaluator::new(move |p| exec.execute(p), metric);
-        Engine::sequential().run(explorer, &eval, stop)
+        Engine::sequential().run(explorer, &OutcomeEvaluator::new(execute, metric), stop)
     }
 }
 

@@ -1,7 +1,7 @@
 //! Driving campaigns to completion with durable checkpoints.
 //!
-//! The execution half of the library layer: [`run_pending`] fans a
-//! snapshot's pending cells across a scheduler pool, [`write_snapshot`]
+//! The execution half of the library layer: [`run_pending`] runs a
+//! snapshot's pending cells on the campaign pool, [`write_snapshot`]
 //! checkpoints atomically, [`CorpusExporter`] mirrors the deduped corpus
 //! to an append-only JSONL file, and [`run_campaign`] ties the three
 //! together — create the output directory, sweep stale temp files, run,
@@ -11,76 +11,144 @@
 //! the messages the CLI has always printed; nothing here prints or
 //! exits.
 
-use super::{
-    chain_seeds_cached, is_proc_target, known_target, proc_target_space, run_cell,
-    run_proc_windowed, run_vfs_windowed, run_windowed, target_space, vfs_target_space, TraceSeeds,
-};
+use super::{chain_seeds_cached_into, run_cell, run_target, TraceSeeds};
 use crate::core::campaign::{
-    CampaignCell, CampaignReport, CampaignSnapshot, ExportRecord, TestTimeout,
+    CampaignCell, CampaignReport, CampaignSnapshot, CampaignSpec, CellOutcome, ExportRecord,
+    TestTimeout,
 };
 use crate::core::{
     ExplorerConfig, ImpactMetric, SearchStrategy, SessionResult, StopCondition, TraceStore,
 };
-use afex_cluster::{CampaignScheduler, CellChain};
+use afex_cluster::{CellChain, CellResult, MultiplexPool};
 use std::collections::HashSet;
 use std::fmt;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
-/// Runs every pending cell of `snap` on a `workers`-wide scheduler pool,
-/// recording each outcome into the snapshot as it completes. Pending
-/// cells are grouped into one [`CellChain`] per target — same-target
-/// cells run serialized in cell order, seeding each cell's redundancy
-/// feedback from its predecessors' deduped traces ([`chain_seeds_cached`]
-/// serves the cells already completed in the snapshot straight from the
-/// persisted trace index), while different
-/// targets fan out across the pool. The stop policy and metric come from
-/// the snapshot's own spec, so a resumed campaign scores and stops
-/// exactly like the original run. `on_cell` runs on the calling thread
-/// after every recorded cell (wall-clock completion order) — the CLI
-/// checkpoints the snapshot file and the corpus export there.
-pub fn run_pending<G>(snap: &mut CampaignSnapshot, workers: usize, mut on_cell: G)
-where
-    G: FnMut(&CampaignSnapshot),
-{
-    let spec = snap.spec.clone();
-    let pending = snap.pending();
-    if pending.is_empty() {
-        return;
-    }
-    // Converge the persisted trace index first (pure dedup on an intact
-    // snapshot, a one-time heal on pre-index ones), then serve every
-    // chain's seed store from it by clone — resume is O(load), never
-    // O(re-split).
+/// A cell as the campaign pool runs it: the owning campaign's spec rides
+/// along because the pool's run function is shared by every campaign.
+pub(crate) type PoolCell = (Arc<CampaignSpec>, CampaignCell);
+
+/// A completed cell: its index in the snapshot plus its outcome.
+pub(crate) type CellDone = (usize, CellOutcome);
+
+/// Starts a `workers`-wide campaign pool: each cell runs through
+/// [`run_cell`] against its campaign's spec, and its failure traces fold
+/// into its chain's seeds before the chain's next cell.
+/// [`run_pending`] submits one campaign to it; the campaign service
+/// submits every campaign it runs.
+///
+/// # Panics
+///
+/// Panics if `workers == 0`.
+pub(crate) fn campaign_pool(workers: usize) -> MultiplexPool<TraceSeeds, PoolCell, CellDone> {
+    MultiplexPool::new(
+        workers,
+        |(spec, cell): &PoolCell, seeds: &TraceSeeds| (cell.index, run_cell(cell, spec, seeds)),
+        |seeds, _cell, (_, outcome): &CellDone| seeds.absorb(outcome),
+    )
+}
+
+/// Groups the snapshot's pending cells into one [`CellChain`] per
+/// target, in spec order: same-target cells run serialized in cell
+/// order, seeding each cell's redundancy feedback from its predecessors'
+/// deduped traces, while different targets fan out across the pool.
+/// Each chain starts from `preseed(target)` (the service's frozen
+/// cross-campaign corpus; empty for a one-shot campaign) extended with
+/// the snapshot's completed prefix ([`chain_seeds_cached_into`]).
+///
+/// Converges the persisted trace index first — pure dedup on an intact
+/// snapshot, a one-time heal on pre-index ones — so every chain's seed
+/// store comes from it by entry copy: resume is O(load), never
+/// O(re-split).
+pub(crate) fn pending_chains(
+    snap: &mut CampaignSnapshot,
+    preseed: impl Fn(&str) -> TraceSeeds,
+) -> Vec<CellChain<TraceSeeds, PoolCell>> {
     snap.ensure_trace_index();
-    let chains: Vec<CellChain<TraceSeeds, CampaignCell>> = spec
-        .targets
+    let spec = Arc::new(snap.spec.clone());
+    let pending = snap.pending();
+    spec.targets
         .iter()
         .filter_map(|target| {
-            let cells: Vec<CampaignCell> = pending
+            let cells: Vec<PoolCell> = pending
                 .iter()
                 .filter(|c| &c.target == target)
-                .cloned()
+                .map(|c| (Arc::clone(&spec), c.clone()))
                 .collect();
             if cells.is_empty() {
                 return None;
             }
             Some(CellChain {
-                state: chain_seeds_cached(snap, target),
+                state: chain_seeds_cached_into(preseed(target), snap, target),
                 cells,
             })
         })
-        .collect();
-    let scheduler = CampaignScheduler::new(workers);
-    scheduler.run_chains(
-        chains,
-        |cell, seeds: &TraceSeeds| (cell.index, run_cell(cell, &spec, seeds)),
-        |seeds, _cell, (_, outcome)| seeds.absorb(outcome),
-        |(index, outcome)| {
-            snap.record(index, outcome);
-            on_cell(snap);
-        },
-    );
+        .collect()
+}
+
+/// Describes a quarantined cell: which cell panicked, why, and how many
+/// queued cells of its chain were abandoned. The daemon records it in
+/// the campaign's `failed.txt`; [`run_pending`] panics with it.
+pub(crate) fn quarantine_detail(cell: &CampaignCell, reason: &str, abandoned: usize) -> String {
+    format!(
+        "cell {} ({}/{} seed {}) panicked: {reason} ({abandoned} queued cells abandoned)",
+        cell.index, cell.target, cell.strategy, cell.seed
+    )
+}
+
+/// Runs every pending cell of `snap` on a `workers`-wide campaign pool
+/// ([`campaign_pool`]), recording each outcome into the snapshot as it
+/// completes. The cells run as one stream of per-target chains
+/// ([`pending_chains`], with no preseed). The stop policy and metric
+/// come from the snapshot's own spec, so a resumed campaign scores and
+/// stops exactly like the original run. `on_cell` runs on the calling
+/// thread after every recorded cell (wall-clock completion order), so
+/// the checkpoint the CLI writes there overlaps the next cell instead
+/// of delaying it.
+///
+/// # Panics
+///
+/// Panics if `workers == 0`. A cell that panics quarantines its own
+/// chain: every other chain runs to completion and reaches `on_cell`,
+/// and then this function panics with the cell and the reason.
+pub fn run_pending<G>(snap: &mut CampaignSnapshot, workers: usize, mut on_cell: G)
+where
+    G: FnMut(&CampaignSnapshot),
+{
+    if snap.pending().is_empty() {
+        return;
+    }
+    let chains = pending_chains(snap, |_| TraceSeeds::new());
+    let pool = campaign_pool(workers);
+    let (tx, rx) = std::sync::mpsc::channel();
+    // The sender lives in the stream's callback, which the pool drops
+    // once the stream's last cell has landed: that ends the loop below.
+    // A send fails only while this thread unwinds from an `on_cell`
+    // panic, when the result has nowhere to go.
+    pool.submit(chains, move |res| {
+        let _ = tx.send(res);
+    });
+    let mut quarantined = None;
+    for res in rx {
+        match res {
+            CellResult::Done((index, outcome)) => {
+                snap.record(index, outcome);
+                on_cell(snap);
+            }
+            CellResult::Quarantined {
+                cell: (_, cell),
+                reason,
+                abandoned,
+            } => {
+                quarantined.get_or_insert_with(|| quarantine_detail(&cell, &reason, abandoned));
+            }
+        }
+    }
+    if let Some(detail) = quarantined {
+        panic!("{detail}");
+    }
 }
 
 /// Writes the snapshot atomically (temp file + rename) so an interrupt
@@ -312,9 +380,15 @@ impl std::error::Error for RunError {
 /// # Errors
 ///
 /// Returns the first [`RunError`]. A checkpoint failure does not abort
-/// in-flight cells (the scheduler has no preemption), but no further
+/// in-flight cells (cells are never preempted), but no further
 /// checkpoints are attempted and the error is returned once the pool
 /// drains — the on-disk state remains the last successful checkpoint.
+///
+/// # Panics
+///
+/// Panics if `workers == 0`, or after the pool drains if a cell
+/// panicked ([`run_pending`]); the snapshot on disk then holds every
+/// cell that completed.
 pub fn run_campaign(
     snap: &mut CampaignSnapshot,
     workers: usize,
@@ -414,9 +488,9 @@ pub struct HuntSpec {
 /// condition at every head-of-line completion, so the pool halts at the
 /// Nth crash (plus the in-flight window draining) instead of running
 /// the iteration cap out. Deterministic for a fixed `workers` count.
-/// Dispatches on the target family: live binaries run through the
-/// sandboxed process executor, `vfs:*` targets through the
-/// crash-recovery oracle, simulated suites in-process.
+/// Dispatches on the target family exactly like [`run_cell`]: live
+/// binaries run through the sandboxed process executor, `vfs:*` targets
+/// through the crash-recovery oracle, simulated suites in-process.
 ///
 /// # Errors
 ///
@@ -428,36 +502,21 @@ pub struct HuntSpec {
 ///
 /// Panics if `hunt.workers` is zero.
 pub fn run_hunt(hunt: &HuntSpec) -> Result<SessionResult, String> {
-    let name = hunt.target.as_str();
-    if !known_target(name) {
-        return Err(format!("unknown target `{name}`"));
-    }
     let strategy = SearchStrategy::Fitness(ExplorerConfig {
         redundancy_feedback: hunt.feedback,
         ..ExplorerConfig::default()
     });
-    let m = hunt.metric.clone();
-    if is_proc_target(name) {
-        // A missing victim or shim artifact is a usage error (how to
-        // build it is in the message), caught before anything spawns.
-        let ps = proc_target_space(name)?;
-        let mut explorer = strategy.build(ps.space_arc(), hunt.seed, TraceStore::new());
-        return Ok(run_proc_windowed(
-            &ps,
-            m,
-            explorer.as_mut(),
-            hunt.stop,
-            hunt.workers,
-            hunt.timeout.0,
-        ));
-    }
-    if let Some(rs) = vfs_target_space(name) {
-        let mut explorer = strategy.build(rs.space_arc(), hunt.seed, TraceStore::new());
-        return Ok(run_vfs_windowed(&rs, m, explorer.as_mut(), hunt.stop, hunt.workers));
-    }
-    let ts = target_space(name).expect("known non-proc non-vfs targets are simulated");
-    let mut explorer = strategy.build(ts.space_arc(), hunt.seed, TraceStore::new());
-    Ok(run_windowed(&ts, m, explorer.as_mut(), hunt.stop, hunt.workers))
+    // A missing victim or shim artifact is a usage error (how to build
+    // it is in the message), caught before anything spawns.
+    run_target(
+        &hunt.target,
+        |space| strategy.build(space, hunt.seed, TraceStore::new()),
+        hunt.metric.clone(),
+        hunt.stop,
+        hunt.workers,
+        hunt.timeout.0,
+    )
+    .map(|(_, result)| result)
 }
 
 /// The sidecar offset-index path for an export file: `<file>.idx`.

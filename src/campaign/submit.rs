@@ -136,7 +136,7 @@ pub fn build_spec(opts: &SpecOptions) -> Result<CampaignSpec, SubmitError> {
 /// Checks a spec is runnable right now: [`CampaignSpec::validate`]
 /// against the target registry, plus the on-disk artifact check for
 /// `proc:*` targets — a missing victim or shim must be a clear usage
-/// error up front, not a panic deep inside the scheduler.
+/// error up front, not a panic deep inside the pool.
 ///
 /// # Errors
 ///

@@ -16,9 +16,10 @@
 //!   (Algorithm 1), sensitivity, Gaussian mutation, aging, baselines
 //!   (random / exhaustive / genetic), redundancy clustering, impact
 //!   precision, relevance models, sessions and reports.
-//! - [`cluster`] — the explorer / node-manager parallel architecture.
-//! - [`campaign`] — campaign execution: fans a `{target} × {strategy} ×
-//!   {seed}` matrix of sessions across the manager pool with durable
+//! - [`cluster`] — the explorer / node-manager parallel architecture,
+//!   and the multiplexing pool campaign cells run on.
+//! - [`campaign`] — campaign execution: runs a `{target} × {strategy} ×
+//!   {seed}` matrix of sessions on the campaign pool with durable
 //!   snapshot/resume (the `afex-cli campaign` engine).
 //! - [`service`] — the campaign service: one daemon multiplexing many
 //!   campaigns on a shared pool, with cross-campaign trace preseeding

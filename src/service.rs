@@ -41,16 +41,15 @@
 //! prefix — the same seeds their next cells would have seen had the
 //! daemon never died.
 
+use crate::campaign::run::{campaign_pool, pending_chains, quarantine_detail, CellDone, PoolCell};
 use crate::campaign::{
-    build_spec, chain_seeds_cached_into, retry_io, run_cell, status_of, sweep_stale_tmp,
-    top_failures, write_snapshot, write_snapshot_with_backup, CampaignStatus, CorpusExporter,
-    SpecOptions, SubmitError, TraceSeeds,
+    build_spec, retry_io, status_of, sweep_stale_tmp, top_failures, write_snapshot,
+    write_snapshot_with_backup, CampaignStatus, CorpusExporter, SpecOptions, SubmitError,
+    TraceSeeds,
 };
-use crate::core::campaign::{
-    CampaignCell, CampaignReport, CampaignSnapshot, CampaignSpec, CellOutcome, ExportRecord,
-};
+use crate::core::campaign::{CampaignReport, CampaignSnapshot, ExportRecord};
 use crate::core::TraceStore;
-use afex_cluster::{CellChain, CellResult, MultiplexPool};
+use afex_cluster::{CellResult, MultiplexPool};
 use serde::{field, Deserialize, Serialize, Value};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
@@ -61,13 +60,6 @@ use std::sync::{Arc, Mutex};
 /// How many attempts every durability write gets before the service
 /// declares the job degraded (≈14 ms of backoff end to end).
 const IO_ATTEMPTS: u32 = 4;
-
-/// A cell as the pool runs it: the owning campaign's spec rides along
-/// because the pool's run function is shared by every campaign.
-type ServiceCell = (Arc<CampaignSpec>, CampaignCell);
-
-/// A completed cell: its index in the snapshot plus its outcome.
-type CellDone = (usize, CellOutcome);
 
 /// Why a service operation failed. `Display` renderings are what the
 /// protocol sends back as error replies.
@@ -382,7 +374,7 @@ struct Registry {
 /// The campaign service. See the module docs for the architecture.
 pub struct CampaignService {
     root: PathBuf,
-    pool: MultiplexPool<TraceSeeds, ServiceCell, CellDone>,
+    pool: MultiplexPool<TraceSeeds, PoolCell, CellDone>,
     registry: Mutex<Registry>,
     /// The cross-campaign corpus: per canonical target, every deduped
     /// trace any campaign's cells have produced, in first-seen order.
@@ -416,16 +408,9 @@ impl CampaignService {
             path: campaigns.clone(),
             source,
         })?;
-        let pool = MultiplexPool::new(
-            workers,
-            |(spec, cell): &ServiceCell, seeds: &TraceSeeds| {
-                (cell.index, run_cell(cell, spec, seeds))
-            },
-            |seeds, _cell, (_, outcome): &CellDone| seeds.absorb(outcome),
-        );
         let service = CampaignService {
             root: root.to_owned(),
-            pool,
+            pool: campaign_pool(workers),
             registry: Mutex::new(Registry {
                 jobs: BTreeMap::new(),
                 next_id: 1,
@@ -634,38 +619,15 @@ impl CampaignService {
     /// from the frozen preseed plus the snapshot's completed prefix)
     /// and hands them to the pool with the checkpointing callback.
     fn enqueue(&self, job: &Arc<Mutex<Job>>, preseed: &PreseedFile) {
-        let chains: Vec<CellChain<TraceSeeds, ServiceCell>> = {
+        let chains = {
             let mut j = job.lock().expect("job poisoned");
-            // Converge the snapshot's persisted trace index first: pure
-            // dedup hash-hits on an intact snapshot, a one-time heal on
-            // pre-index ones. Chains then seed from index stores —
-            // entry copies, never a re-split of the prefix corpus.
-            j.snap.ensure_trace_index();
-            let spec = Arc::new(j.snap.spec.clone());
-            let pending = j.snap.pending();
-            spec.targets
-                .iter()
-                .filter_map(|target| {
-                    let cells: Vec<ServiceCell> = pending
-                        .iter()
-                        .filter(|c| &c.target == target)
-                        .map(|c| (Arc::clone(&spec), c.clone()))
-                        .collect();
-                    if cells.is_empty() {
-                        return None;
-                    }
-                    Some(CellChain {
-                        state: chain_seeds_cached_into(preseed.seeds_for(target), &j.snap, target),
-                        cells,
-                    })
-                })
-                .collect()
+            pending_chains(&mut j.snap, |target| preseed.seeds_for(target))
         };
         let job = Arc::clone(job);
         let global = Arc::clone(&self.global);
         let stats = Arc::clone(&self.stats);
         self.pool
-            .submit(chains, move |res: CellResult<ServiceCell, CellDone>| match res {
+            .submit(chains, move |res: CellResult<PoolCell, CellDone>| match res {
                 CellResult::Done((index, outcome)) => {
                     let target = {
                         let mut j = job.lock().expect("job poisoned");
@@ -688,11 +650,7 @@ impl CampaignService {
                     reason,
                     abandoned,
                 } => {
-                    let detail = format!(
-                        "cell {} ({}/{} seed {}) panicked: {reason} \
-                         ({abandoned} queued cells abandoned)",
-                        cell.index, cell.target, cell.strategy, cell.seed
-                    );
+                    let detail = quarantine_detail(&cell, &reason, abandoned);
                     let mut j = job.lock().expect("job poisoned");
                     j.fail(detail, &stats);
                 }

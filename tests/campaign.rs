@@ -1,10 +1,10 @@
 //! Integration tests for the campaign engine: the matrix runs on the
-//! scheduler pool, snapshots are durable, stop policies halt cells
+//! campaign pool, snapshots are durable, stop policies halt cells
 //! early, same-target cells chain their redundancy feedback, and an
 //! interrupted campaign resumed from a snapshot converges to the same
 //! corpus as an uninterrupted one.
 
-use afex::campaign::{chain_seeds, chain_seeds_cached, run_cell, run_pending, TraceSeeds};
+use afex::campaign::{chain_seeds, chain_seeds_cached_into, run_cell, run_pending, TraceSeeds};
 use afex::core::campaign::{CampaignSnapshot, CampaignSpec, StopPolicy};
 
 /// The acceptance matrix: 3 targets × 2 strategies on the manager pool.
@@ -154,7 +154,7 @@ fn chained_resume_derives_seeds_without_redecoding_the_prefix() {
         "an intact persisted index must reload without a single decode pass"
     );
     let target = resumed.spec.targets[0].clone();
-    let cached = chain_seeds_cached(&resumed, &target);
+    let cached = chain_seeds_cached_into(TraceSeeds::new(), &resumed, &target);
     let oracle = chain_seeds(&resumed, &target);
     assert!(!cached.is_empty(), "two completed cells must leave traces");
     assert_eq!(

@@ -253,8 +253,8 @@ fn campaign_stop_policy_export_and_resume() {
 
 #[test]
 fn campaign_rejects_zero_workers_with_exit_2() {
-    // `CampaignScheduler::new` asserts on 0 workers; the CLI must turn
-    // the bad flag into the usual exit-2 path instead of a panic.
+    // `MultiplexPool::new` asserts on 0 workers; the CLI must turn the
+    // bad flag into the usual exit-2 path instead of a panic.
     let out = scratch("campaign-zero-workers");
     let mut args = campaign_args(&out);
     let w = args.iter().position(|a| a == "--workers").unwrap();
@@ -263,6 +263,47 @@ fn campaign_rejects_zero_workers_with_exit_2() {
     assert_eq!(run.status.code(), Some(2));
     let err = String::from_utf8_lossy(&run.stderr);
     assert!(err.contains("--workers must be positive"), "{err}");
+}
+
+#[test]
+fn campaign_with_a_panicking_cell_checkpoints_the_rest_and_exits_nonzero() {
+    // The poison chain panics first on the only worker. The coreutils
+    // chain must still run and checkpoint both its cells before the run
+    // fails with the panic's reason.
+    let out = scratch("campaign-poison");
+    let run = cli()
+        .env("AFEX_TEST_POISON", "1")
+        .args([
+            "campaign",
+            "--targets",
+            "test:poison,coreutils",
+            "--strategies",
+            "random",
+            "--seeds",
+            "2",
+            "--iterations",
+            "20",
+            "--workers",
+            "1",
+            "--out",
+        ])
+        .arg(&out)
+        .output()
+        .unwrap();
+    assert!(!run.status.success(), "{run:?}");
+    let err = String::from_utf8_lossy(&run.stderr);
+    assert!(err.contains("poison target panicked"), "{err}");
+    let snap: afex::core::CampaignSnapshot = serde_json::from_str(
+        &std::fs::read_to_string(out.join("campaign.json")).unwrap(),
+    )
+    .expect("snapshot parses");
+    let done: Vec<&str> = snap
+        .cells
+        .iter()
+        .filter(|c| c.outcome.is_some())
+        .map(|c| c.cell.target.as_str())
+        .collect();
+    assert_eq!(done, ["coreutils", "coreutils"]);
 }
 
 #[test]

@@ -773,12 +773,12 @@ fn campaign_store_rebuild_is_completion_order_independent() {
 
 #[test]
 fn chained_feedback_is_completion_order_independent() {
-    // The chain contract at the scheduler level: outcomes depend only on
-    // each chain's initial state and cell order, never on how chains
+    // The chain contract at the pool level: outcomes depend only on each
+    // chain's initial state and cell order, never on how chains
     // interleave on the wall clock. Random chain shapes, random delays,
     // random pool widths — the folded state every cell observes must be
     // identical run to run.
-    use afex::cluster::{CampaignScheduler, CellChain};
+    use afex::cluster::{CellChain, CellResult, MultiplexPool};
     check(40, 19, |rng, _| {
         let num_chains = rng.gen_range(1..4usize);
         let shapes: Vec<(u64, Vec<u64>)> = (0..num_chains)
@@ -799,19 +799,30 @@ fn chained_feedback_is_completion_order_independent() {
                     cells: cells.clone(),
                 })
                 .collect();
-            let sched = CampaignScheduler::new(workers);
-            let mut seen: Vec<(u64, Vec<u64>)> = Vec::new();
-            sched.run_chains(
-                chains,
-                |&cell, state: &Vec<u64>| {
+            let delays = delays.clone();
+            let pool = MultiplexPool::new(
+                workers,
+                move |&cell: &u64, state: &Vec<u64>| {
                     std::thread::sleep(std::time::Duration::from_millis(
                         delays[cell as usize % delays.len()],
                     ));
                     (cell, state.clone())
                 },
                 |state, &cell, _| state.push(cell),
-                |out| seen.push(out),
             );
+            let (tx, rx) = std::sync::mpsc::channel();
+            pool.submit(chains, move |res| tx.send(res).unwrap());
+            // The pool drops the callback, and with it the sender, once
+            // the stream's last cell has landed.
+            let mut seen: Vec<(u64, Vec<u64>)> = rx
+                .iter()
+                .map(|res| match res {
+                    CellResult::Done(out) => out,
+                    CellResult::Quarantined { cell, reason, .. } => {
+                        panic!("cell {cell} quarantined: {reason}")
+                    }
+                })
+                .collect();
             // Wall-clock arrival order is nondeterministic; the per-cell
             // observation is not.
             seen.sort_unstable();

@@ -3,8 +3,9 @@
 //! space, the retained whole-log-rewrite specimen does not, a hunt over
 //! the specimen finds the violation, and the replay log is byte-stable.
 
-use afex::campaign::{run_vfs_windowed, vfs_target_space};
-use afex::core::{ExplorerConfig, ImpactMetric, SearchStrategy, StopCondition, TraceStore};
+use afex::campaign::{run_hunt, vfs_target_space, HuntSpec};
+use afex::core::campaign::TestTimeout;
+use afex::core::{ImpactMetric, StopCondition};
 use afex::inject::TestStatus;
 use afex::targets::recovery::{
     run_recovery_test, run_recovery_test_logged, EngineKind, RecoverySpace, NUM_WORKLOADS,
@@ -66,39 +67,38 @@ fn hunt_finds_the_rewrite_violation() {
     // The acceptance path of `afex-cli hunt --target vfs:minidb-rewrite`:
     // a fitness-guided crash hunt over the recovery space stops at the
     // first durability violation well before the iteration cap.
-    let rs = vfs_target_space("vfs:minidb-rewrite").unwrap();
-    let strategy = SearchStrategy::Fitness(ExplorerConfig::default());
-    let mut explorer = strategy.build(rs.space_arc(), 7, TraceStore::new());
-    let stop = StopCondition::Crashes {
-        count: 1,
-        max_iterations: rs.space().len() as usize,
+    let space_len = vfs_target_space("vfs:minidb-rewrite")
+        .unwrap()
+        .space()
+        .len();
+    let hunt = HuntSpec {
+        target: "vfs:minidb-rewrite".into(),
+        stop: StopCondition::Crashes {
+            count: 1,
+            max_iterations: space_len as usize,
+        },
+        seed: 7,
+        workers: 2,
+        metric: ImpactMetric::crash_hunter(),
+        feedback: false,
+        timeout: TestTimeout::default(),
     };
-    let result = run_vfs_windowed(
-        &rs,
-        ImpactMetric::crash_hunter(),
-        explorer.as_mut(),
-        stop,
-        2,
-    );
+    let result = run_hunt(&hunt).unwrap();
     assert!(result.crashes() >= 1, "hunt must find a recovery violation");
     assert!(
-        (result.len() as u64) < rs.space().len(),
+        (result.len() as u64) < space_len,
         "the hunt should stop at the violation, not run the space out"
     );
     // And the fixed engine under the same hunt finds nothing.
-    let fixed = vfs_target_space("vfs:minidb-recovery").unwrap();
-    let mut explorer = strategy.build(fixed.space_arc(), 7, TraceStore::new());
-    let stop = StopCondition::Crashes {
-        count: 1,
-        max_iterations: 400,
+    let fixed = HuntSpec {
+        target: "vfs:minidb-recovery".into(),
+        stop: StopCondition::Crashes {
+            count: 1,
+            max_iterations: 400,
+        },
+        ..hunt
     };
-    let result = run_vfs_windowed(
-        &fixed,
-        ImpactMetric::crash_hunter(),
-        explorer.as_mut(),
-        stop,
-        2,
-    );
+    let result = run_hunt(&fixed).unwrap();
     assert_eq!(result.crashes(), 0, "the fixed engine must survive the hunt");
 }
 
