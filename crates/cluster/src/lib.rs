@@ -7,33 +7,22 @@
 //! only the explorer communicates with node managers."
 //!
 //! In this reproduction a node manager is a worker thread owning its own
-//! evaluator (its own copy of the simulated target), connected to the
+//! evaluator (its own copy of the simulated target, or a handle on the
+//! shared sandboxed process runner for live binaries), connected to the
 //! explorer by crossbeam channels — preserving the coordination topology
 //! while substituting threads for EC2 instances (§7.7 only claims linear
 //! scaling from the embarrassing parallelism, which the thread topology
 //! reproduces).
 //!
-//! - [`messages`] — the explorer ⇄ manager wire protocol.
-//! - [`plugin`] — injector plugins converting AFEX-internal fault
-//!   descriptions into per-injector configuration (§6.1).
-//! - [`scripts`] — the user-provided startup/test/cleanup hooks (§6.1).
-//! - [`manager`] — the node-manager worker.
 //! - [`parallel`] — the parallel session driver pumping any
-//!   [`Explore`](afex_core::Explore) strategy through a manager pool.
+//!   [`Explore`](afex_core::Explore) strategy through a manager pool:
+//!   the one test pool for every target family.
 //! - [`multiplex`] — the long-running pool multiplexing campaigns' cell
 //!   chains with round-robin fairness: one stream for `afex-cli
 //!   campaign`, one per campaign for the campaign service.
 
-pub mod manager;
-pub mod messages;
 pub mod multiplex;
 pub mod parallel;
-pub mod plugin;
-pub mod scripts;
 
 pub use multiplex::{CellChain, CellResult, MultiplexPool, StreamId};
-pub use manager::NodeManager;
-pub use messages::{ManagerMsg, Task, TaskResult};
 pub use parallel::ParallelSession;
-pub use plugin::{Fig5Plugin, InjectorPlugin};
-pub use scripts::{ScriptHooks, ScriptedEvaluator};

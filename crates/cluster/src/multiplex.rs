@@ -340,7 +340,7 @@ fn pick<S, C, O>(st: &mut PoolState<S, C, O>) -> Option<Picked<S, C, O>> {
 
 /// Renders a caught panic payload as text (the common `&str`/`String`
 /// payloads of `panic!`; anything else gets a placeholder).
-fn panic_reason(payload: &(dyn std::any::Any + Send)) -> String {
+pub(crate) fn panic_reason(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&'static str>() {
         (*s).to_owned()
     } else if let Some(s) = payload.downcast_ref::<String>() {

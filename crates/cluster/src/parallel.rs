@@ -14,51 +14,61 @@
 //! every [`StopCondition`] — `failures:N` / `crashes:N` searches stop at
 //! the first satisfying head-of-line completion, with the in-flight
 //! window draining deterministically (see [`ParallelSession::run_with_stop`]).
+//!
+//! The pool serves every target family: managers call
+//! [`Evaluator::try_evaluate`], so an evaluator over live processes can
+//! report a test it could not run, and the engine ends the session with
+//! the tests issued before it.
 
-use crate::manager::NodeManager;
-use crate::messages::{ManagerMsg, Task};
+use crate::multiplex::panic_reason;
 use afex_core::engine::{Engine, Executor};
 use afex_core::queues::PendingTest;
 use afex_core::{Evaluation, Evaluator, Explore, SessionResult, StopCondition};
+use afex_space::Point;
 use crossbeam::channel::{Receiver, Sender};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
+
+/// A manager's answer: the candidate id and its `try_evaluate` result.
+type Answer = (u64, Result<Evaluation, String>);
 
 /// The engine-side view of a manager pool: submissions go out on the
-/// task channel, completions come back (in arbitrary order) on the
-/// result channel.
+/// task channel, answers come back (in arbitrary order) on the result
+/// channel.
 struct PoolExecutor {
-    task_tx: Sender<Task>,
-    res_rx: Receiver<ManagerMsg>,
+    tasks: Sender<(u64, Point)>,
+    answers: Receiver<Answer>,
 }
 
 impl Executor for PoolExecutor {
     fn submit(&mut self, id: u64, test: &PendingTest) -> bool {
-        self.task_tx
-            .send(Task {
-                id,
-                point: test.point.clone(),
-                mutated_axis: test.mutated_axis,
-            })
-            .is_ok()
+        self.tasks.send((id, test.point.clone())).is_ok()
     }
 
-    fn recv(&mut self) -> Option<(u64, Evaluation)> {
-        loop {
-            match self.res_rx.recv() {
-                Ok(ManagerMsg::Done(r)) => return Some((r.id, r.evaluation)),
-                // An evaluator panic is accounted as a crashed test: the
-                // session keeps its exact-completion bookkeeping (every
-                // issued id gets an answer) and stays deterministic,
-                // since a panic for a given point is itself repeatable.
-                Ok(ManagerMsg::Failed { id, reason, .. }) => {
-                    let mut eval = Evaluation::zero();
-                    eval.crashed = true;
-                    eval.failed = true;
-                    eval.trace = Some(std::sync::Arc::from(reason.as_str()));
-                    return Some((id, eval));
-                }
-                Ok(ManagerMsg::Bye { .. }) => continue,
-                Err(_) => return None, // Pool died (manager thread loss).
-            }
+    fn recv(&mut self) -> Option<Answer> {
+        self.answers.recv().ok() // `None`: every manager thread is gone.
+    }
+}
+
+/// One node manager: evaluates tasks until the task channel closes.
+///
+/// An evaluator panic does not kill the manager: the test is answered as
+/// a crashed, failed evaluation whose trace is the panic text, and the
+/// loop keeps serving. The session keeps its exact-completion
+/// bookkeeping (every issued id gets an answer) and stays deterministic,
+/// since a panic for a given point is itself repeatable.
+fn serve(evaluator: &impl Evaluator, tasks: &Receiver<(u64, Point)>, answers: &Sender<Answer>) {
+    while let Ok((id, point)) = tasks.recv() {
+        let result = catch_unwind(AssertUnwindSafe(|| evaluator.try_evaluate(&point)))
+            .unwrap_or_else(|payload| {
+                let mut eval = Evaluation::zero();
+                eval.crashed = true;
+                eval.failed = true;
+                eval.trace = Some(Arc::from(panic_reason(payload.as_ref())));
+                Ok(eval)
+            });
+        if answers.send((id, result)).is_err() {
+            break; // The explorer went away.
         }
     }
 }
@@ -117,6 +127,11 @@ impl ParallelSession {
     /// diverge: the window of candidates in flight (the fitness-feedback
     /// lag, and the drain length after a stop) is the worker count
     /// itself.
+    ///
+    /// A test whose evaluator panics is recorded as crashed and failed,
+    /// with the panic text as its trace; a test the evaluator could not
+    /// run (`try_evaluate` returned `Err`) ends the session at its issue
+    /// position.
     pub fn run_with_stop<X, E, F>(
         &self,
         explorer: &mut X,
@@ -128,22 +143,19 @@ impl ParallelSession {
         E: Evaluator,
         F: Fn(usize) -> E + Sync,
     {
-        let (task_tx, task_rx) = crossbeam::channel::bounded::<Task>(self.workers * 2);
-        let (res_tx, res_rx) = crossbeam::channel::unbounded::<ManagerMsg>();
+        let (tasks, task_rx) = crossbeam::channel::bounded(self.workers * 2);
+        let (answer_tx, answers) = crossbeam::channel::unbounded();
         std::thread::scope(|scope| {
             // Spawn the manager pool.
             for m in 0..self.workers {
                 let task_rx = task_rx.clone();
-                let res_tx = res_tx.clone();
+                let answer_tx = answer_tx.clone();
                 let make_evaluator = &make_evaluator;
-                scope.spawn(move || {
-                    let evaluator = make_evaluator(m);
-                    NodeManager::new(m).serve(&evaluator, &task_rx, &res_tx);
-                });
+                scope.spawn(move || serve(&make_evaluator(m), &task_rx, &answer_tx));
             }
             drop(task_rx);
-            drop(res_tx);
-            let mut pool = PoolExecutor { task_tx, res_rx };
+            drop(answer_tx);
+            let mut pool = PoolExecutor { tasks, answers };
             let result = Engine::new(self.workers).drive(explorer, stop, &mut pool);
             drop(pool); // Closes the task channel: managers drain and exit.
             result
@@ -154,8 +166,10 @@ impl ParallelSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use afex_core::{ExplorerConfig, FitnessExplorer, FnEvaluator, RandomExplorer};
-    use afex_space::{Axis, FaultSpace, Point};
+    use afex_core::{
+        ExhaustiveExplorer, ExplorerConfig, FitnessExplorer, FnEvaluator, RandomExplorer,
+    };
+    use afex_space::{Axis, FaultSpace};
 
     fn space() -> FaultSpace {
         FaultSpace::new(vec![
@@ -255,6 +269,56 @@ mod tests {
         };
         assert_eq!(run(3), run(3), "3-worker stop-aware runs must be bit-identical");
         assert_eq!(run(1), run(1), "1-worker stop-aware runs must be bit-identical");
+    }
+
+    #[test]
+    fn evaluator_panic_is_recorded_as_a_crash_not_fatal() {
+        // One manager serves all three tests; point 1 panics, and the
+        // same manager must still evaluate point 2.
+        let line = FaultSpace::new(vec![Axis::int_range("x", 0, 2)]).unwrap();
+        let mut ex = ExhaustiveExplorer::new(line);
+        let eval = |_: usize| {
+            FnEvaluator::new(|p: &Point| {
+                assert!(p[0] != 1, "evaluator blew up on point 1");
+                p[0] as f64
+            })
+        };
+        let prev = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {})); // Silence the expected panic trace.
+        let r = ParallelSession::new(1).run(&mut ex, eval, 3);
+        std::panic::set_hook(prev);
+        assert_eq!(r.len(), 3);
+        let crashed = &r.executed[1].evaluation;
+        assert!(crashed.crashed && crashed.failed, "{crashed:?}");
+        assert_eq!(
+            crashed.trace.as_deref(),
+            Some("evaluator blew up on point 1")
+        );
+        assert_eq!(r.executed[2].evaluation, Evaluation::from_impact(2.0));
+    }
+
+    #[test]
+    fn failing_try_evaluate_ends_the_session_before_it() {
+        // Points from x = 3 on cannot run. Whatever order the managers
+        // answer in, the session is exactly the three tests before.
+        struct FailsFromThree;
+        impl Evaluator for FailsFromThree {
+            fn evaluate(&self, _: &Point) -> Evaluation {
+                unreachable!("managers call try_evaluate")
+            }
+            fn try_evaluate(&self, p: &Point) -> Result<Evaluation, String> {
+                if p[0] >= 3 {
+                    Err(format!("cannot run {p}"))
+                } else {
+                    Ok(Evaluation::from_impact(p[0] as f64))
+                }
+            }
+        }
+        let line = FaultSpace::new(vec![Axis::int_range("x", 0, 19)]).unwrap();
+        let mut ex = ExhaustiveExplorer::new(line);
+        let r = ParallelSession::new(4).run(&mut ex, |_| FailsFromThree, 20);
+        let xs: Vec<usize> = r.executed.iter().map(|t| t.point[0]).collect();
+        assert_eq!(xs, [0, 1, 2]);
     }
 
     #[test]

@@ -220,7 +220,7 @@ impl Deserialize for CellWorkers {
 /// Wall-clock budget per test for targets that execute real processes.
 ///
 /// Simulated targets evaluate in-process and never consult this; the
-/// real-process executor arms its watchdog with it, so the value decides
+/// process runner arms its watchdog with it, so the value decides
 /// when a live child is declared hung. It is part of the spec — and
 /// therefore of the snapshot — because hang classification is part of a
 /// cell's outcome: `--resume` must watch with the original budget or the

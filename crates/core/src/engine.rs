@@ -25,6 +25,11 @@
 //!    reached) no further candidates are issued, but everything already
 //!    in flight drains and is recorded — the log is a deterministic
 //!    function of the window, never of wall-clock timing.
+//! 4. **Partial sessions.** A candidate the executor could not run
+//!    ([`Evaluator::try_evaluate`] returned `Err`) stops issuing as soon
+//!    as it arrives and ends the session when it reaches the head of
+//!    line: the session is exactly the tests issued before it, whatever
+//!    order the executor answered in.
 //!
 //! An explorer may answer `next_candidate() -> None` while results are
 //! outstanding (the genetic explorer does this at generation
@@ -37,19 +42,20 @@ use crate::queues::PendingTest;
 use crate::session::{SessionResult, StopCondition};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
-/// Where the engine's candidates actually execute: inline, on a manager
-/// pool, on a remote cluster. The engine guarantees at most its window
-/// of submissions are unanswered at any time.
+/// Where the engine's candidates actually execute: inline or on a
+/// manager pool. The engine guarantees at most its window of
+/// submissions are unanswered at any time.
 pub trait Executor {
     /// Dispatches candidate `id` for evaluation. Returns whether the
     /// executor accepted it; `false` means it can no longer execute
     /// tests (e.g. the worker pool died) and the engine stops issuing.
     fn submit(&mut self, id: u64, test: &PendingTest) -> bool;
 
-    /// Blocks until *some* submitted candidate completes, in any order.
-    /// `None` means the executor failed and no further results will
-    /// arrive; the engine returns what completed so far.
-    fn recv(&mut self) -> Option<(u64, Evaluation)>;
+    /// Blocks until *some* submitted candidate completes, in any order,
+    /// with its [`Evaluator::try_evaluate`] result. `None` means the
+    /// executor failed and no further results will arrive; the engine
+    /// returns what completed so far.
+    fn recv(&mut self) -> Option<(u64, Result<Evaluation, String>)>;
 }
 
 /// The inline executor: evaluates each candidate synchronously at
@@ -58,7 +64,7 @@ pub trait Executor {
 /// fitness lag deterministically without threads.
 pub struct SyncExecutor<'a> {
     eval: &'a dyn Evaluator,
-    ready: VecDeque<(u64, Evaluation)>,
+    ready: VecDeque<(u64, Result<Evaluation, String>)>,
 }
 
 impl<'a> SyncExecutor<'a> {
@@ -73,12 +79,13 @@ impl<'a> SyncExecutor<'a> {
 
 impl Executor for SyncExecutor<'_> {
     fn submit(&mut self, id: u64, test: &PendingTest) -> bool {
-        let evaluation = self.eval.evaluate(&test.point);
-        self.ready.push_back((id, evaluation));
-        true
+        let result = self.eval.try_evaluate(&test.point);
+        let ran = result.is_ok();
+        self.ready.push_back((id, result));
+        ran
     }
 
-    fn recv(&mut self) -> Option<(u64, Evaluation)> {
+    fn recv(&mut self) -> Option<(u64, Result<Evaluation, String>)> {
         self.ready.pop_front()
     }
 }
@@ -126,7 +133,8 @@ impl Engine {
     /// met. The candidate-issue schedule is a pure function of the
     /// window: `[G0 .. G(w-1), C0, Gw, C1, G(w+1), ...]`, with the stop
     /// condition checked at every head-of-line completion and in-flight
-    /// candidates drained (and recorded) after it trips.
+    /// candidates drained (and recorded) after it trips. A candidate the
+    /// executor could not run ends the session at its issue position.
     pub fn drive<E: Executor>(
         &self,
         explorer: &mut (impl Explore + ?Sized),
@@ -144,11 +152,12 @@ impl Engine {
         let mut executed = Vec::new();
         let (mut failures, mut crashes) = (0usize, 0usize);
         let mut outstanding: HashMap<u64, PendingTest> = HashMap::new();
-        let mut ready: BTreeMap<u64, Evaluation> = BTreeMap::new();
+        let mut ready: BTreeMap<u64, Result<Evaluation, String>> = BTreeMap::new();
         let mut next_id = 0u64;
         let mut next_complete = 0u64;
         // Set once the stop condition trips, the cap is reached, or the
-        // executor refuses work: no further candidates are issued.
+        // executor refuses or fails work: no further candidates are
+        // issued.
         let mut stopped = false;
         loop {
             // Refill the window. A `None` here is not necessarily final:
@@ -173,13 +182,16 @@ impl Engine {
             // arrives meanwhile.
             while !ready.contains_key(&next_complete) {
                 match exec.recv() {
-                    Some((id, evaluation)) => {
-                        ready.insert(id, evaluation);
+                    Some((id, result)) => {
+                        stopped |= result.is_err();
+                        ready.insert(id, result);
                     }
                     None => return SessionResult::new(executed), // Executor died.
                 }
             }
-            let evaluation = ready.remove(&next_complete).expect("head result buffered");
+            let Ok(evaluation) = ready.remove(&next_complete).expect("head result buffered") else {
+                return SessionResult::new(executed); // Candidate could not run.
+            };
             let test = outstanding
                 .remove(&next_complete)
                 .expect("result matches an issued candidate");
@@ -320,6 +332,33 @@ mod tests {
             let mut ex = RandomExplorer::new(space(), 1);
             let r = Engine::new(4).run(&mut ex, &ridge_eval(), stop);
             assert!(r.is_empty(), "{stop:?} executed {} tests", r.len());
+        }
+    }
+
+    #[test]
+    fn executor_failure_ends_the_session_at_its_issue_position() {
+        // Points from x = 3 on cannot run: every window returns exactly
+        // the three tests issued before the first of them.
+        struct FailsFromThree;
+        impl Evaluator for FailsFromThree {
+            fn evaluate(&self, _: &Point) -> Evaluation {
+                unreachable!("the engine calls try_evaluate")
+            }
+            fn try_evaluate(&self, p: &Point) -> Result<Evaluation, String> {
+                if p[0] >= 3 {
+                    Err(format!("cannot run {p}"))
+                } else {
+                    Ok(Evaluation::from_impact(p[0] as f64))
+                }
+            }
+        }
+        let line = FaultSpace::new(vec![Axis::int_range("x", 0, 9)]).unwrap();
+        for window in [1, 3, 5] {
+            let mut ex = ExhaustiveExplorer::new(line.clone());
+            let r =
+                Engine::new(window).run(&mut ex, &FailsFromThree, StopCondition::Iterations(10));
+            let xs: Vec<usize> = r.executed.iter().map(|t| t.point[0]).collect();
+            assert_eq!(xs, [0, 1, 2], "window {window}");
         }
     }
 

@@ -89,6 +89,17 @@ pub struct ExecutedTest {
 pub trait Evaluator {
     /// Runs the fault-injection test denoted by `point` and measures it.
     fn evaluate(&self, point: &Point) -> Evaluation;
+
+    /// [`Self::evaluate`], telling an *executor* failure (the test could
+    /// not be run at all) apart from a test failure. Executors call this
+    /// and end the session on `Err`; in-process evaluators never fail.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of why the test could not be executed.
+    fn try_evaluate(&self, point: &Point) -> Result<Evaluation, String> {
+        Ok(self.evaluate(point))
+    }
 }
 
 /// Adapts a plain impact function `Φ → R` (synthetic spaces, recorded

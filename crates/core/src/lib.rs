@@ -85,7 +85,7 @@ pub use feedback::RedundancyFeedback;
 pub use gaussian::DiscreteGaussian;
 pub use genetic::{GeneticConfig, GeneticExplorer};
 pub use impact::ImpactMetric;
-pub use process::{ProcessEvaluator, ProcessExecutor, ProcessRunner};
+pub use process::{ProcessEvaluator, ProcessRunner};
 pub use quality::cluster::{cluster_traces, cluster_traces_naive, Cluster, ClusterIndex};
 pub use quality::levenshtein::{
     levenshtein, levenshtein_bounded, levenshtein_bounded_chars, levenshtein_chars,

@@ -18,28 +18,29 @@
 //! - a wall-clock watchdog that escalates SIGTERM → SIGKILL and always
 //!   reaps the child, classifying the run as [`TestStatus::Hung`].
 //!
-//! Sandbox directories are named after the creating process; a sweep at
-//! runner construction removes directories whose creator is dead, so the
-//! one teardown path `Drop` cannot cover (the campaign itself SIGKILLed
-//! mid-test) is healed by the next run.
+//! Sandbox directories are named after the creating process plus a
+//! process-wide sequence number, so concurrent runners under one root
+//! never share a directory; a sweep at runner construction removes
+//! directories whose creator is dead, so the one teardown path `Drop`
+//! cannot cover (the campaign itself SIGKILLed mid-test) is healed by
+//! the next run.
 //!
-//! [`ProcessExecutor`] adapts all of this to the session engine's
-//! [`Executor`](crate::engine::Executor) contract: one worker thread per
-//! in-flight candidate, transient spawn errors retried with bounded
-//! backoff, and a permanent failure surfaced as `recv() -> None` so the
-//! engine returns what completed instead of wedging.
+//! [`ProcessEvaluator`] adapts all of this to the session engine: its
+//! [`Evaluator::try_evaluate`] retries transient spawn errors with
+//! bounded backoff and reports a permanent failure as `Err`, which ends
+//! the session with what completed instead of wedging. Any executor
+//! runs it: inline for one test in flight, a `ParallelSession` manager
+//! pool for a wider window.
 
-use crate::engine::Executor;
 use crate::evaluator::{Evaluation, Evaluator};
 use crate::impact::ImpactMetric;
-use crate::queues::PendingTest;
 use afex_inject::{AtomicFault, Coverage, Errno, Func, InjectionRecord, TestOutcome, TestStatus};
 use afex_preload::config::ProcessPlan;
 use afex_preload::log::parse_log;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, ExitStatus, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 use std::{fs, io, thread};
 
@@ -76,6 +77,11 @@ const WATCH_POLL: Duration = Duration::from_millis(5);
 const SPAWN_ATTEMPTS: u32 = 4;
 /// Backoff before the first spawn retry; doubles per attempt.
 const SPAWN_BACKOFF: Duration = Duration::from_millis(10);
+
+/// Sandbox sequence numbers, shared by every runner in the process: two
+/// runners under one root (concurrent campaign cells, hunts in one
+/// daemon) must never name the same directory.
+static SANDBOX_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// Whether a spawn error is worth retrying: the kernel ran out of a
 /// resource that load, not the request, exhausted (EAGAIN = 11,
@@ -153,7 +159,6 @@ pub struct ProcessRunner {
     timeout: Duration,
     grace: Duration,
     root: PathBuf,
-    seq: AtomicU64,
 }
 
 impl ProcessRunner {
@@ -172,7 +177,6 @@ impl ProcessRunner {
             timeout,
             grace: Duration::from_millis(200),
             root,
-            seq: AtomicU64::new(0),
         }
     }
 
@@ -189,7 +193,7 @@ impl ProcessRunner {
     /// a spawn error that persisted through retries) — never of a test
     /// failure, which is an `Ok` outcome with a non-passed status.
     pub fn run(&self, test_id: usize, plan: &ProcessPlan) -> Result<TestOutcome, String> {
-        let sandbox = Sandbox::create(&self.root, self.seq.fetch_add(1, Ordering::Relaxed))?;
+        let sandbox = Sandbox::create(&self.root, SANDBOX_SEQ.fetch_add(1, Ordering::Relaxed))?;
         let log_path = sandbox.path().join("shim.log");
         let mut cmd = Command::new(&plan.program);
         cmd.args(&plan.args)
@@ -355,7 +359,9 @@ fn read_injections(log_path: &Path) -> Vec<InjectionRecord> {
 pub type PlanFn = dyn Fn(&afex_space::Point) -> (usize, ProcessPlan) + Send + Sync;
 
 /// The [`Evaluator`] over real processes: plans the point, runs it
-/// sandboxed, scores the outcome.
+/// sandboxed, scores the outcome. Clones share one runner, so every
+/// manager of a pool draws sandboxes from the same root.
+#[derive(Clone)]
 pub struct ProcessEvaluator {
     plan: Arc<PlanFn>,
     runner: Arc<ProcessRunner>,
@@ -375,122 +381,32 @@ impl ProcessEvaluator {
             metric,
         }
     }
+}
 
-    /// Evaluates one point, distinguishing executor failure from test
-    /// failure (the [`Evaluator`] impl cannot; the executor must).
-    ///
-    /// # Errors
-    ///
-    /// Returns the runner's description of an executor-level failure.
-    pub fn try_evaluate(&self, point: &afex_space::Point) -> Result<Evaluation, String> {
+impl Evaluator for ProcessEvaluator {
+    fn evaluate(&self, point: &afex_space::Point) -> Evaluation {
+        // Degraded mode for callers that cannot end a session: an
+        // executor failure scores zero.
+        self.try_evaluate(point)
+            .unwrap_or_else(|_| Evaluation::zero())
+    }
+
+    /// Returns the runner's description of an executor-level failure
+    /// (sandbox setup refused, spawn retries exhausted).
+    fn try_evaluate(&self, point: &afex_space::Point) -> Result<Evaluation, String> {
         let (test_id, plan) = (self.plan)(point);
         let outcome = self.runner.run(test_id, &plan)?;
         Ok(Evaluation::from_outcome(&outcome, &self.metric))
     }
 }
 
-impl Evaluator for ProcessEvaluator {
-    fn evaluate(&self, point: &afex_space::Point) -> Evaluation {
-        // Degraded mode for the synchronous path: an executor failure
-        // scores zero instead of tearing the session down.
-        self.try_evaluate(point).unwrap_or_else(|_| Evaluation::zero())
-    }
-}
-
-/// The session engine's [`Executor`] over real processes: one worker
-/// thread per in-flight candidate (the engine's window bounds them),
-/// completions delivered over a channel in whatever order children
-/// finish — the engine reorders.
-pub struct ProcessExecutor {
-    eval: Arc<ProcessEvaluator>,
-    tx: mpsc::Sender<(u64, Result<Evaluation, String>)>,
-    rx: mpsc::Receiver<(u64, Result<Evaluation, String>)>,
-    workers: Vec<thread::JoinHandle<()>>,
-    error: Option<String>,
-}
-
-impl ProcessExecutor {
-    /// Wraps an evaluator.
-    pub fn new(eval: ProcessEvaluator) -> Self {
-        let (tx, rx) = mpsc::channel();
-        ProcessExecutor {
-            eval: Arc::new(eval),
-            tx,
-            rx,
-            workers: Vec::new(),
-            error: None,
-        }
-    }
-
-    /// Why the executor stopped, if it did: the first executor-level
-    /// failure (spawn retries exhausted, sandbox setup refused).
-    pub fn error(&self) -> Option<&str> {
-        self.error.as_deref()
-    }
-
-    /// Joins worker threads that already finished, keeping the handle
-    /// list proportional to the in-flight window rather than the session
-    /// length.
-    fn reap_workers(&mut self) {
-        let mut live = Vec::with_capacity(self.workers.len());
-        for handle in self.workers.drain(..) {
-            if handle.is_finished() {
-                let _ = handle.join();
-            } else {
-                live.push(handle);
-            }
-        }
-        self.workers = live;
-    }
-}
-
-impl Executor for ProcessExecutor {
-    fn submit(&mut self, id: u64, test: &PendingTest) -> bool {
-        if self.error.is_some() {
-            return false;
-        }
-        self.reap_workers();
-        let eval = Arc::clone(&self.eval);
-        let tx = self.tx.clone();
-        let point = test.point.clone();
-        self.workers.push(thread::spawn(move || {
-            let result = eval.try_evaluate(&point);
-            let _ = tx.send((id, result));
-        }));
-        true
-    }
-
-    fn recv(&mut self) -> Option<(u64, Evaluation)> {
-        match self.rx.recv() {
-            Ok((id, Ok(evaluation))) => Some((id, evaluation)),
-            Ok((_, Err(e))) => {
-                // Executor-level failure: report it once, stop issuing,
-                // let the engine return what completed.
-                self.error = Some(e);
-                None
-            }
-            // Unreachable while `self.tx` lives, but a `None` here is
-            // the contractually correct "no further results".
-            Err(_) => None,
-        }
-    }
-}
-
-impl Drop for ProcessExecutor {
-    fn drop(&mut self) {
-        // Wait for in-flight tests: each worker owns a watchdog that
-        // bounds its lifetime, and joining guarantees every child is
-        // reaped and every sandbox removed before the executor is gone.
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use afex_space::Point;
+    use crate::engine::Engine;
+    use crate::exhaustive::ExhaustiveExplorer;
+    use crate::session::StopCondition;
+    use afex_space::{Axis, FaultSpace, Point};
 
     fn sh(script: &str) -> ProcessPlan {
         ProcessPlan::bare("/bin/sh", vec!["-c".into(), script.into()])
@@ -592,45 +508,66 @@ mod tests {
     }
 
     #[test]
-    fn executor_runs_candidates_and_reports_completions() {
+    fn concurrent_runners_under_one_root_get_distinct_sandboxes() {
+        // Two runners alive at once under one root (two campaign cells
+        // in one process). Each test touches a file in its sandbox, then
+        // meets the other test outside the sandboxes before it checks:
+        // the other test's file must not be visible.
+        let root = std::env::temp_dir().join(format!(
+            "afex-proc-tests-{}-{}",
+            std::process::id(),
+            COUNTER.fetch_add(1, Ordering::Relaxed)
+        ));
+        let meet = root.join("meet");
+        fs::create_dir_all(&meet).unwrap();
+        let runners = [
+            ProcessRunner::with_root(Duration::from_secs(5), root.clone()),
+            ProcessRunner::with_root(Duration::from_secs(5), root.clone()),
+        ];
+        let statuses = thread::scope(|scope| {
+            let tests = [(0, "a", "b"), (1, "b", "a")].map(|(i, mine, other)| {
+                let runner = &runners[i];
+                let meet = meet.display();
+                let script = format!(
+                    "touch {mine} {meet}/{mine}; \
+                     while [ ! -e {meet}/{other} ]; do sleep 0.01; done; \
+                     test ! -e {other}"
+                );
+                scope.spawn(move || runner.run(0, &sh(&script)).unwrap().status)
+            });
+            tests.map(|t| t.join().unwrap())
+        });
+        assert_eq!(statuses, [TestStatus::Passed, TestStatus::Passed]);
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn engine_runs_process_candidates_in_a_window() {
         let eval = ProcessEvaluator::new(
             |p: &Point| (p[0], sh(if p[0] == 0 { "exit 0" } else { "exit 1" })),
             runner(5000),
             ImpactMetric::default(),
         );
-        let mut exec = ProcessExecutor::new(eval);
-        for id in 0..2 {
-            let test = PendingTest {
-                point: Point::new(vec![id as usize]),
-                mutated_axis: None,
-            };
-            assert!(exec.submit(id, &test));
-        }
-        let mut seen = std::collections::BTreeMap::new();
-        for _ in 0..2 {
-            let (id, ev) = exec.recv().expect("both candidates complete");
-            seen.insert(id, ev.failed);
-        }
-        assert_eq!(seen.get(&0), Some(&false));
-        assert_eq!(seen.get(&1), Some(&true));
+        let mut ex =
+            ExhaustiveExplorer::new(FaultSpace::new(vec![Axis::int_range("x", 0, 1)]).unwrap());
+        let r = Engine::new(2).run(&mut ex, &eval, StopCondition::Iterations(2));
+        let failed: Vec<bool> = r.executed.iter().map(|t| t.evaluation.failed).collect();
+        assert_eq!(failed, [false, true]);
     }
 
     #[test]
-    fn executor_failure_surfaces_as_none() {
+    fn executor_failure_ends_the_session() {
         let eval = ProcessEvaluator::new(
             |_: &Point| (0, ProcessPlan::bare("/no/such/binary", vec![])),
             runner(5000),
             ImpactMetric::default(),
         );
-        let mut exec = ProcessExecutor::new(eval);
-        let test = PendingTest {
-            point: Point::new(vec![0]),
-            mutated_axis: None,
-        };
-        assert!(exec.submit(0, &test));
-        assert!(exec.recv().is_none(), "spawn failure must end the stream");
-        assert!(exec.error().unwrap().contains("/no/such/binary"));
-        assert!(!exec.submit(1, &test), "a dead executor refuses work");
+        let err = eval.try_evaluate(&Point::new(vec![0])).unwrap_err();
+        assert!(err.contains("/no/such/binary"), "{err}");
+        let mut ex =
+            ExhaustiveExplorer::new(FaultSpace::new(vec![Axis::int_range("x", 0, 9)]).unwrap());
+        let r = Engine::sequential().run(&mut ex, &eval, StopCondition::Iterations(10));
+        assert!(r.is_empty(), "spawn failure must end the session: {r:?}");
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Locating the built shim and victim artifacts at run time.
 //!
-//! Both the preload e2e tests and the real-process executor need the
+//! Both the preload e2e tests and the real-process runner need the
 //! same two files — the interposition cdylib and the `victim` binary —
-//! and neither can rely on compile-time paths: the executor runs from
+//! and neither can rely on compile-time paths: the runner runs from
 //! whatever profile directory the user built, and the tests used to
 //! guess `target/{debug,release}` from `CARGO_MANIFEST_DIR`, which broke
 //! under custom `--target-dir`s. This module is the one resolver both

@@ -12,7 +12,7 @@ use std::process::Command;
 
 /// Path of the built cdylib — the shared runtime resolver (honoring
 /// `AFEX_SHIM_PATH`, then searching next to the running executable), the
-/// same one the real-process executor uses, instead of the old hardcoded
+/// same one the real-process runner uses, instead of the old hardcoded
 /// `target/{debug,release}` guess that broke under custom target dirs.
 fn shim_path() -> PathBuf {
     locate::shim_path().expect("shim cdylib must be built alongside this test binary")

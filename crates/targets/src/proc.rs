@@ -5,7 +5,7 @@
 //! one of its workload modes — explored through the `LD_PRELOAD` shim.
 //! The space keeps the paper's `<testID, functionName, callNumber>`
 //! shape, and [`ProcTargetSpace::plan_for`] maps each point to the
-//! [`ProcessPlan`] the real-process executor (in `afex-core`) spawns,
+//! [`ProcessPlan`] the process runner (in `afex-core`) spawns,
 //! sandboxes, and watches.
 //!
 //! The function axis is the shim's interposition set. Not every mode

@@ -2,14 +2,14 @@
 //!
 //! Drives the fitness-guided explorer through a pool of node managers,
 //! each owning its own copy of the system under test — the thread-level
-//! equivalent of the paper's EC2 deployment (§7.7). Also shows injector
-//! plugins and the startup/test/cleanup script hooks.
+//! equivalent of the paper's EC2 deployment (§7.7). Also shows the
+//! injector configuration (the Fig. 5 scenario) of the top fault.
 //!
 //! ```sh
 //! cargo run --release --example parallel_cluster
 //! ```
 
-use afex::cluster::{Fig5Plugin, InjectorPlugin, ParallelSession, ScriptHooks, ScriptedEvaluator};
+use afex::cluster::ParallelSession;
 use afex::core::{ExplorerConfig, FitnessExplorer, ImpactMetric, OutcomeEvaluator};
 use afex::targets::spaces::TargetSpace;
 use std::time::Instant;
@@ -22,23 +22,16 @@ fn main() {
         ts.space().len()
     );
 
-    // The plugin a node manager would use to configure its injector.
-    let plugin = Fig5Plugin::new("lfi", ts.space().clone());
-
     let mut explorer = FitnessExplorer::new(ts.space().clone(), ExplorerConfig::default(), 3);
     let session = ParallelSession::new(4);
     let start = Instant::now();
     let result = session.run(
         &mut explorer,
-        // One evaluator per manager: its own copy of the target, wrapped
-        // in the user-provided startup/cleanup scripts (no-ops here; the
+        // One evaluator per manager: its own copy of the target (the
         // simulated target self-contains its state).
         |_manager| {
             let exec = TargetSpace::apache();
-            ScriptedEvaluator::new(
-                OutcomeEvaluator::new(move |p| exec.execute(p), ImpactMetric::default()),
-                ScriptHooks::noop(),
-            )
+            OutcomeEvaluator::new(move |p| exec.execute(p), ImpactMetric::default())
         },
         800,
     );
@@ -57,7 +50,7 @@ fn main() {
         println!(
             "\nhighest-impact fault: {}\ninjector config: {}",
             top.point,
-            plugin.render_config(&top.point)
+            ts.space().render(&top.point)
         );
     }
 }

@@ -57,17 +57,16 @@ use crate::core::campaign::{
     CellOutcome,
 };
 use crate::core::{
-    Engine, Explore, ImpactMetric, OutcomeEvaluator, ProcessEvaluator, ProcessExecutor,
-    ProcessRunner, SearchStrategy, SessionResult, StopCondition, TraceStore,
+    Engine, Evaluator, Explore, ImpactMetric, OutcomeEvaluator, ProcessEvaluator, ProcessRunner,
+    SearchStrategy, SessionResult, StopCondition, TraceStore,
 };
-use crate::inject::TestOutcome;
 use crate::preload::locate;
 use crate::targets::docstore::Version;
 use crate::targets::proc::{ProcTargetSpace, VictimMode};
 use crate::targets::recovery::{EngineKind, RecoverySpace};
 use crate::targets::spaces::TargetSpace;
 use afex_cluster::ParallelSession;
-use afex_space::{FaultSpace, Point, PointCodec};
+use afex_space::{FaultSpace, PointCodec};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -82,7 +81,7 @@ pub const TARGETS: [&str; 5] = [
 
 /// The real-process target family: the bundled victim binary in each of
 /// its workload modes, executed live under the `LD_PRELOAD` shim by the
-/// sandboxed process executor.
+/// sandboxed process runner.
 pub const PROC_TARGETS: [&str; 4] = [
     "proc:victim-read-file",
     "proc:victim-alloc",
@@ -431,11 +430,13 @@ pub fn chain_seeds_cached_into(
 /// `cell_workers == 1` the cell is the classic sequential session; with
 /// a wider window the cell's candidates execute batch-parallel on a
 /// [`ParallelSession`] manager pool, each manager owning its own copy of
-/// the target. Either way the engine completes results in issue order
-/// and checks the stop policy at every head-of-line completion, so a
-/// cell's outcome is a deterministic function of `(spec, cell)` for the
-/// spec's fixed window — which is why `cell_workers` lives in the spec
-/// (and the snapshot) rather than on the command line of the moment.
+/// a simulated or `vfs:*` target, or a handle on the cell's one
+/// sandboxed process runner for a `proc:*` target. Either way the
+/// engine completes results in issue order and checks the stop policy
+/// at every head-of-line completion, so a cell's outcome is a
+/// deterministic function of `(spec, cell)` for the spec's fixed window
+/// — which is why `cell_workers` lives in the spec (and the snapshot)
+/// rather than on the command line of the moment.
 ///
 /// `seeds` are the deduped failure traces of earlier same-target cells
 /// ([`chain_seeds`]); fitness cells run with the §5 redundancy-feedback
@@ -485,10 +486,10 @@ pub fn run_cell(cell: &CampaignCell, spec: &CampaignSpec, seeds: &TraceSeeds) ->
 }
 
 /// Resolves `target` to its family and runs one session against it
-/// under `stop` with a `workers`-wide engine window: live binaries
-/// through the sandboxed process executor (with `timeout` as the
-/// per-test watchdog budget), `vfs:*` targets through the crash-recovery
-/// oracle, simulated suites in-process. `explorer` builds the session's
+/// under `stop` with a `workers`-wide engine window: live binaries as
+/// sandboxed child processes (with `timeout` as the per-test watchdog
+/// budget), `vfs:*` targets through the crash-recovery oracle,
+/// simulated suites in-process. `explorer` builds the session's
 /// explorer over the resolved fault space, which is returned with the
 /// session. The one target dispatch behind [`run_cell`] and
 /// [`run_hunt`].
@@ -515,13 +516,11 @@ fn run_target(
     if let Some(rs) = vfs_target_space(target) {
         let space = rs.space_arc();
         let mut explorer = explorer(Arc::clone(&space));
-        let result = windowed(
-            move |p| rs.execute(p),
-            metric,
-            explorer.as_mut(),
-            stop,
-            workers,
-        );
+        let make_eval = || {
+            let rs = rs.clone();
+            OutcomeEvaluator::new(move |p| rs.execute(p), metric.clone())
+        };
+        let result = windowed(make_eval, explorer.as_mut(), stop, workers);
         return Ok((space, result));
     }
     let ts = target_space(target).ok_or_else(|| format!("unknown target `{target}`"))?;
@@ -547,44 +546,21 @@ pub fn run_windowed(
     stop: StopCondition,
     workers: usize,
 ) -> SessionResult {
-    let ts = ts.clone();
-    windowed(move |p| ts.execute(p), metric, explorer, stop, workers)
-}
-
-/// [`run_windowed`] over any in-process executor: `execute` runs the
-/// test a point denotes (a simulated suite, or a `vfs:*` workload +
-/// crash + fault-free reopen cycle through the recovery oracle). Each
-/// manager of a parallel window gets its own clone of `execute`.
-fn windowed<F>(
-    execute: F,
-    metric: ImpactMetric,
-    explorer: &mut dyn Explore,
-    stop: StopCondition,
-    workers: usize,
-) -> SessionResult
-where
-    F: Fn(&Point) -> TestOutcome + Clone + Sync,
-{
-    if workers > 1 {
-        ParallelSession::new(workers).run_with_stop(
-            explorer,
-            |_manager| OutcomeEvaluator::new(execute.clone(), metric.clone()),
-            stop,
-        )
-    } else {
-        assert!(workers > 0, "need at least one worker");
-        Engine::sequential().run(explorer, &OutcomeEvaluator::new(execute, metric), stop)
-    }
+    let make_eval = || {
+        let ts = ts.clone();
+        OutcomeEvaluator::new(move |p| ts.execute(p), metric.clone())
+    };
+    windowed(make_eval, explorer, stop, workers)
 }
 
 /// [`run_windowed`]'s real-process sibling: runs a built explorer
-/// against a live binary through the sandboxed [`ProcessExecutor`], with
-/// `workers` candidates in flight (each spawning its own watched child)
-/// and `timeout` as the per-test watchdog budget. If the executor dies —
-/// e.g. persistent spawn failure after the runner's transient-error
-/// retries — the engine returns the partial session gathered so far
-/// instead of panicking, the same graceful degradation contract the
-/// engine gives every executor.
+/// against a live binary, each test a sandboxed child under `timeout` as
+/// its watchdog budget, with `workers` tests in flight. Every manager
+/// holds a handle on one shared [`ProcessRunner`]. If a test cannot run
+/// — e.g. persistent spawn failure after the runner's transient-error
+/// retries — the session ends with the tests issued before it instead of
+/// panicking, the partial-session contract the engine gives every
+/// executor.
 ///
 /// # Panics
 ///
@@ -597,15 +573,35 @@ pub fn run_proc_windowed(
     workers: usize,
     timeout: std::time::Duration,
 ) -> SessionResult {
-    assert!(workers > 0, "need at least one worker");
     let plan_space = ps.clone();
     let eval = ProcessEvaluator::new(
         move |p| plan_space.plan_for(p),
         ProcessRunner::new(timeout),
         metric,
     );
-    let mut exec = ProcessExecutor::new(eval);
-    Engine::new(workers).drive(explorer, stop, &mut exec)
+    windowed(|| eval.clone(), explorer, stop, workers)
+}
+
+/// The one windowed session behind every target family: a
+/// [`ParallelSession`] of `workers` managers, each with its own
+/// `make_eval()` evaluator, when `workers > 1`; the sequential engine
+/// over one `make_eval()` otherwise.
+fn windowed<E, F>(
+    make_eval: F,
+    explorer: &mut dyn Explore,
+    stop: StopCondition,
+    workers: usize,
+) -> SessionResult
+where
+    E: Evaluator,
+    F: Fn() -> E + Sync,
+{
+    if workers > 1 {
+        ParallelSession::new(workers).run_with_stop(explorer, |_manager| make_eval(), stop)
+    } else {
+        assert!(workers > 0, "need at least one worker");
+        Engine::sequential().run(explorer, &make_eval(), stop)
+    }
 }
 
 #[cfg(test)]

@@ -489,7 +489,7 @@ pub struct HuntSpec {
 /// Nth crash (plus the in-flight window draining) instead of running
 /// the iteration cap out. Deterministic for a fixed `workers` count.
 /// Dispatches on the target family exactly like [`run_cell`]: live
-/// binaries run through the sandboxed process executor, `vfs:*` targets
+/// binaries run as sandboxed child processes, `vfs:*` targets
 /// through the crash-recovery oracle, simulated suites in-process.
 ///
 /// # Errors

@@ -368,3 +368,42 @@ fn proc_campaign_cell_runs_end_to_end() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn proc_campaigns_are_byte_identical_across_pool_widths() {
+    // Three proc targets run their chains concurrently at `--workers 4`:
+    // their tests must not share sandbox directories (and with them
+    // shim logs, traces and working directories), so the snapshot is
+    // the `--workers 1` bytes.
+    let dir = std::env::temp_dir().join(format!("afex-proc-widths-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let snapshot = |workers: &str| {
+        let out_dir = dir.join(workers);
+        let out = cli()
+            .args([
+                "campaign",
+                "--targets",
+                "proc:victim-alloc-unchecked,proc:victim-alloc,proc:victim-read-file",
+                "--strategies",
+                "fitness,random",
+                "--iterations",
+                "20",
+                "--timeout",
+                "5s",
+                "--workers",
+                workers,
+                "--out",
+                out_dir.to_str().unwrap(),
+            ])
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "--workers {workers}: {out:?}");
+        std::fs::read(out_dir.join("campaign.json")).unwrap()
+    };
+    let sequential = snapshot("1");
+    assert!(
+        sequential == snapshot("4"),
+        "proc campaign snapshot depends on the pool width"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
