@@ -8,8 +8,17 @@
 //!
 //! The Gaussian "favors φ's closest neighbors without completely
 //! dismissing points that are further away".
+//!
+//! A draw reads its weights from a per-axis table instead of calling
+//! `exp` for every value of the axis. The weight depends only on
+//! `|v − center|`, and `(-d * d)` gives the same bits for `d` and `−d`,
+//! so `w[|v − center|]` is bit-identical to [`DiscreteGaussian::weight`].
+//! The total is the same left fold in `v` order, and the walk makes the
+//! same subtractions, so every draw and every RNG call stay exactly
+//! those of the two-`exp`-pass formula.
 
 use rand::Rng;
+use std::sync::OnceLock;
 
 /// A discrete Gaussian over the indices `0..n`, centered at a mutable
 /// point, with σ proportional to `n`.
@@ -17,7 +26,38 @@ use rand::Rng;
 pub struct DiscreteGaussian {
     n: usize,
     sigma: f64,
+    /// Built on the first draw, not in `new`: a table costs one `exp` per
+    /// axis value, and building an explorer should not pay that.
+    table: OnceLock<Table>,
 }
+
+/// The weights one axis's draws read.
+#[derive(Debug, Clone)]
+struct Table {
+    /// `w[k] = weight(0, k)`: the weight of every value at distance `k`
+    /// from the center.
+    w: Box<[f64]>,
+    /// Each center's total weight, summed on the first draw at that
+    /// center. Summing every center up front is O(n²).
+    totals: Box<[OnceLock<f64>]>,
+}
+
+impl Table {
+    /// The weights of `0..n` in `v` order around `center`.
+    fn row(&self, center: usize) -> impl Iterator<Item = f64> + '_ {
+        let n = self.w.len();
+        self.w[1..=center]
+            .iter()
+            .rev()
+            .chain(&self.w[..n - center])
+            .copied()
+    }
+}
+
+const _: () = {
+    const fn send_sync<T: Send + Sync>() {}
+    send_sync::<DiscreteGaussian>();
+};
 
 impl DiscreteGaussian {
     /// The paper's σ factor: `σ = |Ai| / 5`.
@@ -37,6 +77,7 @@ impl DiscreteGaussian {
         DiscreteGaussian {
             n,
             sigma: (factor * n as f64).max(0.5),
+            table: OnceLock::new(),
         }
     }
 
@@ -65,15 +106,22 @@ impl DiscreteGaussian {
     /// Gaussian weight around `center`. The center itself can be drawn
     /// (the caller's History check discards such no-op mutations).
     ///
+    /// The first draw builds the axis's weight table (one `exp` per
+    /// value), and the first draw at each center sums its total (O(n));
+    /// later draws only walk the table.
+    ///
     /// # Panics
     ///
     /// Panics if `center >= n`.
     pub fn sample<R: Rng + ?Sized>(&self, center: usize, rng: &mut R) -> usize {
         assert!(center < self.n, "center out of range");
-        let total: f64 = (0..self.n).map(|v| self.weight(center, v)).sum();
+        let table = self.table.get_or_init(|| Table {
+            w: (0..self.n).map(|k| self.weight(0, k)).collect(),
+            totals: (0..self.n).map(|_| OnceLock::new()).collect(),
+        });
+        let total = *table.totals[center].get_or_init(|| table.row(center).sum());
         let mut ticket = rng.gen_range(0.0..total);
-        for v in 0..self.n {
-            let w = self.weight(center, v);
+        for (v, w) in table.row(center).enumerate() {
             if ticket < w {
                 return v;
             }
@@ -109,6 +157,110 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// The two-`exp`-pass formula sampler the table replaced: the
+    /// reference every tabled draw must match, value and RNG use alike.
+    fn reference_sample(g: &DiscreteGaussian, center: usize, rng: &mut StdRng) -> usize {
+        let mut ticket = rng.gen_range(0.0..reference_total(g, center));
+        for v in 0..g.n {
+            let w = g.weight(center, v);
+            if ticket < w {
+                return v;
+            }
+            ticket -= w;
+        }
+        g.n - 1
+    }
+
+    fn reference_total(g: &DiscreteGaussian, center: usize) -> f64 {
+        (0..g.n).map(|v| g.weight(center, v)).sum()
+    }
+
+    fn reference_sample_distinct(g: &DiscreteGaussian, center: usize, rng: &mut StdRng) -> usize {
+        if g.n == 1 {
+            return center;
+        }
+        for _ in 0..32 {
+            let v = reference_sample(g, center, rng);
+            if v != center {
+                return v;
+            }
+        }
+        let v = rng.gen_range(0..g.n - 1);
+        if v >= center {
+            v + 1
+        } else {
+            v
+        }
+    }
+
+    /// Draws at `center` through the table and through the reference
+    /// from equal RNG states; both must return the same value and leave
+    /// the RNGs in the same state.
+    fn assert_draws_match(g: &DiscreteGaussian, center: usize, seed: u64) {
+        let (mut a, mut b) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+        let case = format!(
+            "n = {}, sigma = {}, center = {center}, seed = {seed}",
+            g.n, g.sigma
+        );
+        assert_eq!(
+            g.sample(center, &mut a),
+            reference_sample(g, center, &mut b),
+            "{case}"
+        );
+        assert_eq!(a.next_u64(), b.next_u64(), "sample RNG use: {case}");
+        // A draw rarely lands within an ulp of a boundary, so check the
+        // cached total itself: the same fold gives the same bits.
+        let cached = g.table.get().and_then(|t| t.totals[center].get());
+        assert_eq!(
+            cached.map(|t| t.to_bits()),
+            Some(reference_total(g, center).to_bits()),
+            "total: {case}"
+        );
+        assert_eq!(
+            g.sample_distinct(center, &mut a),
+            reference_sample_distinct(g, center, &mut b),
+            "{case}"
+        );
+        assert_eq!(
+            a.next_u64(),
+            b.next_u64(),
+            "sample_distinct RNG use: {case}"
+        );
+    }
+
+    #[test]
+    fn tabled_draws_match_the_formula_sampler() {
+        let mut cases = StdRng::seed_from_u64(0x5eed);
+        let mut axes = vec![
+            DiscreteGaussian::paper(1),
+            DiscreteGaussian::paper(2),
+            DiscreteGaussian::new(2, 0.2), // σ = 0.4, floored to 0.5
+            DiscreteGaussian::new(9, 0.01),
+            DiscreteGaussian::paper(1147), // minidb's testID axis
+        ];
+        for _ in 0..300 {
+            let n = if cases.gen_bool(0.5) {
+                cases.gen_range(1..=12)
+            } else {
+                cases.gen_range(1..=2000)
+            };
+            let factor =
+                [0.01, 0.05, DiscreteGaussian::PAPER_SIGMA_FACTOR, 1.0][cases.gen_range(0..4usize)];
+            axes.push(DiscreteGaussian::new(n, factor));
+        }
+        for g in &axes {
+            // Both edges, then random centers; every center is drawn
+            // twice, so the second draw reads a cached total.
+            let mut centers = vec![0, g.n - 1];
+            centers.extend((0..3).map(|_| cases.gen_range(0..g.n)));
+            for center in centers {
+                for _ in 0..2 {
+                    assert_draws_match(g, center, cases.next_u64());
+                }
+            }
+        }
+    }
 
     #[test]
     fn favors_near_neighbors() {
@@ -189,8 +341,18 @@ mod tests {
 
     #[test]
     fn weights_are_symmetric() {
-        let g = DiscreteGaussian::paper(50);
-        assert!((g.weight(25, 20) - g.weight(25, 30)).abs() < 1e-12);
+        // The table rests on this: a weight depends on |v − center|
+        // alone, bit for bit.
+        let g = DiscreteGaussian::paper(1147);
+        for center in 0..g.n {
+            for v in 0..g.n {
+                assert_eq!(
+                    g.weight(center, v).to_bits(),
+                    g.weight(0, v.abs_diff(center)).to_bits(),
+                    "center = {center}, v = {v}"
+                );
+            }
+        }
         assert!(g.weight(25, 25) > g.weight(25, 24));
     }
 }
