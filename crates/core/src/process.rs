@@ -18,12 +18,21 @@
 //! - a wall-clock watchdog that escalates SIGTERM → SIGKILL and always
 //!   reaps the child, classifying the run as [`TestStatus::Hung`].
 //!
+//! The watchdog waits on an event, not a clock: it opens a pidfd for the
+//! child and blocks in `poll(2)` until the child exits or the remaining
+//! budget runs out, so a test costs what the child takes, not the next
+//! multiple of a poll step. Where the kernel refuses `pidfd_open`
+//! (ENOSYS before Linux 5.3, EPERM under some seccomp profiles) it falls
+//! back to checking every 5 ms. The pidfd is only a wakeup: `Child` does
+//! every reap and signals go to the still-unreaped pid.
+//!
 //! Sandbox directories are named after the creating process plus a
 //! process-wide sequence number, so concurrent runners under one root
-//! never share a directory; a sweep at runner construction removes
-//! directories whose creator is dead, so the one teardown path `Drop`
-//! cannot cover (the campaign itself SIGKILLed mid-test) is healed by
-//! the next run.
+//! never share a directory, and a directory already at a new name is a
+//! dead predecessor's (same pid) and is replaced, never reused. A sweep
+//! at runner construction removes directories whose creator is dead, so
+//! the one teardown path `Drop` cannot cover (the campaign itself
+//! SIGKILLed mid-test) is healed by the next run.
 //!
 //! [`ProcessEvaluator`] adapts all of this to the session engine: its
 //! [`Evaluator::try_evaluate`] retries transient spawn errors with
@@ -37,6 +46,8 @@ use crate::impact::ImpactMetric;
 use afex_inject::{AtomicFault, Coverage, Errno, Func, InjectionRecord, TestOutcome, TestStatus};
 use afex_preload::config::ProcessPlan;
 use afex_preload::log::parse_log;
+use std::ffi::{c_long, c_ulong};
+use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, ExitStatus, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -46,8 +57,20 @@ use std::{fs, io, thread};
 
 extern "C" {
     fn kill(pid: i32, sig: i32) -> i32;
+    fn poll(fds: *mut PollFd, nfds: c_ulong, timeout_ms: i32) -> i32;
     fn prctl(option: i32, arg2: u64, arg3: u64, arg4: u64, arg5: u64) -> i32;
     fn setrlimit(resource: i32, rlim: *const RLimit) -> i32;
+    #[cfg(target_os = "linux")]
+    fn syscall(number: c_long, ...) -> c_long;
+}
+
+/// `struct pollfd`: the descriptor, the events asked for, the events
+/// that occurred.
+#[repr(C)]
+struct PollFd {
+    fd: i32,
+    events: i16,
+    revents: i16,
 }
 
 /// `struct rlimit` on Linux x86-64: soft and hard limit, both `u64`.
@@ -64,6 +87,10 @@ const RLIMIT_AS: i32 = 9;
 const PR_SET_PDEATHSIG: i32 = 1;
 const SIGKILL: i32 = 9;
 const SIGTERM: i32 = 15;
+const POLLIN: i16 = 1;
+const EINTR: i32 = 4;
+#[cfg(target_os = "linux")]
+const SYS_PIDFD_OPEN: c_long = 434;
 
 /// Address-space cap for sandboxed children: far above any victim's
 /// needs, far below what would distress the host.
@@ -71,7 +98,8 @@ const SANDBOX_AS_BYTES: u64 = 1 << 30;
 /// Process-count cap: the victim may help itself to a few children, not
 /// to a fork bomb.
 const SANDBOX_NPROC: u64 = 256;
-/// How often the watchdog polls the child.
+/// How often the watchdog checks the child when it has no pidfd to
+/// wait on.
 const WATCH_POLL: Duration = Duration::from_millis(5);
 /// Spawn attempts before a transient error becomes an executor failure.
 const SPAWN_ATTEMPTS: u32 = 4;
@@ -88,6 +116,61 @@ static SANDBOX_SEQ: AtomicU64 = AtomicU64::new(0);
 /// ENOMEM = 12 on Linux).
 fn transient_spawn_error(e: &io::Error) -> bool {
     matches!(e.raw_os_error(), Some(11) | Some(12))
+}
+
+/// Blocks until `fd` is readable or `timeout` passes, in one `poll(2)`,
+/// and says whether it became readable. A signal cuts the wait short;
+/// callers re-check their own condition after every return, so an early
+/// return costs one loop turn. The timeout is rounded up to whole
+/// milliseconds, so a sub-millisecond remainder still blocks instead of
+/// spinning. Should `poll` itself fail, it sleeps out the timeout rather
+/// than return at once.
+pub fn wait_readable(fd: RawFd, timeout: Duration) -> bool {
+    let mut pfd = PollFd {
+        fd,
+        events: POLLIN,
+        revents: 0,
+    };
+    let ms = i32::try_from(timeout.as_nanos().div_ceil(1_000_000)).unwrap_or(i32::MAX);
+    // SAFETY: one valid, exclusively borrowed pollfd for the call.
+    match unsafe { poll(&mut pfd, 1, ms) } {
+        -1 if io::Error::last_os_error().raw_os_error() != Some(EINTR) => {
+            thread::sleep(timeout);
+            false
+        }
+        ready => ready > 0,
+    }
+}
+
+/// An owned pidfd: readable once its process has exited, closed on drop.
+/// It is only a wakeup for the watchdog; `Child` reaps and signals go
+/// through `kill` on the unreaped pid, so no PID can be reused under it.
+struct PidFd(OwnedFd);
+
+impl PidFd {
+    /// `pidfd_open(pid, 0)`. The kernel sets `O_CLOEXEC` on the new
+    /// descriptor, so children that other threads spawn meanwhile never
+    /// inherit it. Fails where the kernel refuses (ENOSYS before Linux
+    /// 5.3, EPERM under some seccomp profiles) and off Linux.
+    fn open(pid: u32) -> io::Result<PidFd> {
+        #[cfg(target_os = "linux")]
+        {
+            // SAFETY: pidfd_open takes a pid and flags and returns a new
+            // descriptor or -1; nothing is borrowed.
+            let fd = unsafe { syscall(SYS_PIDFD_OPEN, pid as c_long, 0 as c_long) };
+            if fd < 0 {
+                return Err(io::Error::last_os_error());
+            }
+            // SAFETY: the kernel just handed us this descriptor; nothing
+            // else owns it.
+            Ok(PidFd(unsafe { OwnedFd::from_raw_fd(fd as RawFd) }))
+        }
+        #[cfg(not(target_os = "linux"))]
+        {
+            let _ = pid;
+            Err(io::Error::from(io::ErrorKind::Unsupported))
+        }
+    }
 }
 
 /// Where sandbox directories live: one fixed root, so the stale sweep
@@ -136,10 +219,20 @@ struct Sandbox {
 }
 
 impl Sandbox {
+    /// Creates the sandbox at `seq`'s name. A process never reissues a
+    /// sequence number, so a directory already there belongs to a dead
+    /// process that had the same pid: it is replaced, so its shim log
+    /// can never pass for this run's.
     fn create(root: &Path, seq: u64) -> Result<Self, String> {
         let dir = root.join(format!("afex-sbx-{}-{seq}", std::process::id()));
-        fs::create_dir_all(&dir)
-            .map_err(|e| format!("cannot create sandbox {}: {e}", dir.display()))?;
+        let made = match fs::create_dir(&dir) {
+            Err(e) if e.kind() == io::ErrorKind::AlreadyExists => {
+                fs::remove_dir_all(&dir).and_then(|()| fs::create_dir(&dir))
+            }
+            Err(e) if e.kind() == io::ErrorKind::NotFound => fs::create_dir_all(&dir),
+            made => made,
+        };
+        made.map_err(|e| format!("cannot create sandbox {}: {e}", dir.display()))?;
         Ok(Sandbox { dir })
     }
 
@@ -217,7 +310,8 @@ impl ProcessRunner {
         }
         apply_sandbox_limits(&mut cmd, self.timeout);
         let mut child = spawn_with_retry(&mut cmd, &plan.program)?;
-        let status = match self.watch(&mut child)? {
+        let pidfd = PidFd::open(child.id()).ok();
+        let status = match self.watch(&mut child, pidfd)? {
             Some(wait) => classify_wait(&wait),
             None => TestStatus::Hung,
         };
@@ -229,38 +323,55 @@ impl ProcessRunner {
         })
     }
 
-    /// Waits for the child within the watchdog budget. `None` means the
-    /// budget expired: the child was terminated (SIGTERM, then SIGKILL
-    /// after a grace period) and *reaped* — no zombie survives this
-    /// function, whichever path it takes.
-    fn watch(&self, child: &mut Child) -> Result<Option<ExitStatus>, String> {
-        let deadline = Instant::now() + self.timeout;
-        loop {
-            match child.try_wait() {
-                Ok(Some(status)) => return Ok(Some(status)),
-                Ok(None) => {}
-                Err(e) => return Err(format!("cannot wait for child: {e}")),
-            }
-            if Instant::now() >= deadline {
-                break;
-            }
-            thread::sleep(WATCH_POLL);
+    /// Waits for the child within the watchdog budget, blocking on
+    /// `pidfd` when there is one and checking every [`WATCH_POLL`]
+    /// otherwise. `None` means the budget expired: the child was
+    /// terminated (SIGTERM, then SIGKILL after a grace period) and
+    /// *reaped* — no zombie survives this function, whichever path it
+    /// takes.
+    fn watch(&self, child: &mut Child, pidfd: Option<PidFd>) -> Result<Option<ExitStatus>, String> {
+        let pidfd = pidfd.as_ref();
+        let exited = wait_until(child, pidfd, Instant::now() + self.timeout)
+            .map_err(|e| format!("cannot wait for child: {e}"))?;
+        if exited.is_some() {
+            return Ok(exited);
         }
         // Hung. Ask nicely first — SIGTERM lets the victim run its own
         // teardown — then force the issue: SIGKILL cannot be caught, so
         // the final blocking wait always reaps.
         // SAFETY: plain signal send to a child we still own.
         unsafe { kill(child.id() as i32, SIGTERM) };
-        let grace_deadline = Instant::now() + self.grace;
-        while Instant::now() < grace_deadline {
-            if matches!(child.try_wait(), Ok(Some(_))) {
-                return Ok(None);
-            }
-            thread::sleep(WATCH_POLL);
+        if let Ok(Some(_)) = wait_until(child, pidfd, Instant::now() + self.grace) {
+            return Ok(None);
         }
         let _ = child.kill();
         let _ = child.wait();
         Ok(None)
+    }
+}
+
+/// Reaps `child` if it exits before `deadline`. Between checks it blocks
+/// on `pidfd` for the rest of the budget, or sleeps [`WATCH_POLL`]
+/// without one.
+fn wait_until(
+    child: &mut Child,
+    pidfd: Option<&PidFd>,
+    deadline: Instant,
+) -> io::Result<Option<ExitStatus>> {
+    loop {
+        if let Some(status) = child.try_wait()? {
+            return Ok(Some(status));
+        }
+        let now = Instant::now();
+        if now >= deadline {
+            return Ok(None);
+        }
+        match pidfd {
+            Some(fd) => {
+                wait_readable(fd.0.as_raw_fd(), deadline - now);
+            }
+            None => thread::sleep(WATCH_POLL),
+        }
     }
 }
 
@@ -460,6 +571,123 @@ mod tests {
         let outcome = r.run(0, &sh("trap '' TERM; sleep 30")).unwrap();
         assert_eq!(outcome.status, TestStatus::Hung);
         assert!(start.elapsed() < Duration::from_secs(5));
+    }
+
+    extern "C" {
+        fn waitpid(pid: i32, status: *mut i32, options: i32) -> i32;
+    }
+
+    /// Runs `script` under `r`'s watchdog on one wait path — a pidfd or
+    /// the fixed-step fallback — and checks that nothing is left to reap.
+    fn watched(r: &ProcessRunner, script: &str, use_pidfd: bool) -> TestStatus {
+        let mut child = Command::new("/bin/sh")
+            .args(["-c", script])
+            .spawn()
+            .unwrap();
+        let pid = child.id();
+        let pidfd = use_pidfd.then(|| {
+            PidFd::open(pid).expect("the kernel must grant pidfd_open (Linux 5.3 or later)")
+        });
+        let status = match r.watch(&mut child, pidfd).unwrap() {
+            Some(wait) => classify_wait(&wait),
+            None => TestStatus::Hung,
+        };
+        const WNOHANG: i32 = 1;
+        const ECHILD: i32 = 10;
+        let mut raw = 0;
+        // SAFETY: a non-blocking status query with a valid out pointer.
+        let res = unsafe { waitpid(pid as i32, &mut raw, WNOHANG) };
+        assert_eq!(
+            (res, io::Error::last_os_error().raw_os_error()),
+            (-1, Some(ECHILD)),
+            "{script}: child {pid} must already be reaped"
+        );
+        status
+    }
+
+    #[test]
+    fn watchdog_contract_holds_on_both_wait_paths() {
+        let r = runner(200);
+        let cases = [
+            ("exit 0", TestStatus::Passed),
+            ("exit 3", TestStatus::Failed),
+            ("kill -SEGV $$", TestStatus::Crashed("SIGSEGV".into())),
+            ("sleep 30", TestStatus::Hung),
+            ("trap '' TERM; sleep 30", TestStatus::Hung),
+        ];
+        for (script, expected) in cases {
+            for use_pidfd in [true, false] {
+                let status = watched(&r, script, use_pidfd);
+                assert_eq!(status, expected, "{script} (pidfd: {use_pidfd})");
+            }
+        }
+    }
+
+    #[test]
+    fn quick_exits_are_reaped_without_waiting_out_a_poll_step() {
+        // Each run's child exits in a millisecond or two. A watchdog that
+        // sleeps between checks would spend a whole WATCH_POLL on every
+        // run; one that waits on the exit itself must beat that total.
+        let r = runner(5000);
+        let plan = sh("exit 0");
+        let best = (0..3)
+            .map(|_| {
+                let start = Instant::now();
+                for _ in 0..40 {
+                    assert_eq!(r.run(0, &plan).unwrap().status, TestStatus::Passed);
+                }
+                start.elapsed()
+            })
+            .min()
+            .unwrap();
+        assert!(best < WATCH_POLL * 40, "40 quick runs took {best:?}");
+    }
+
+    #[test]
+    fn wait_readable_wakes_on_data_and_times_out_without_it() {
+        use std::io::Write;
+        let (mut tx, rx) = std::os::unix::net::UnixStream::pair().unwrap();
+        let start = Instant::now();
+        assert!(!wait_readable(rx.as_raw_fd(), Duration::from_micros(1500)));
+        // Rounded up to whole milliseconds, never down to a 0 ms spin.
+        let waited = start.elapsed();
+        assert!(waited >= Duration::from_millis(2), "{waited:?}");
+        tx.write_all(b"x").unwrap();
+        let start = Instant::now();
+        assert!(wait_readable(rx.as_raw_fd(), Duration::from_secs(30)));
+        assert!(start.elapsed() < Duration::from_secs(5));
+    }
+
+    #[test]
+    fn reused_pid_gets_a_fresh_sandbox() {
+        // A dead process with this process's pid left sandboxes behind,
+        // each holding the shim log of an injection that fired.
+        let r = runner(5000);
+        let stale_log = "malloc\t1\t12\tvictim+0x10>malloc\n";
+        let plant = |seq: u64| {
+            let name = format!("afex-sbx-{}-{seq}", std::process::id());
+            let dir = r.root().join(name);
+            fs::create_dir_all(&dir).unwrap();
+            fs::write(dir.join("shim.log"), stale_log).unwrap();
+            dir
+        };
+        // A sequence number this process never reaches: deterministic
+        // whatever other tests draw from SANDBOX_SEQ meanwhile.
+        let dir = plant(u64::MAX);
+        let sandbox = Sandbox::create(r.root(), u64::MAX).unwrap();
+        let reused = fs::read_dir(sandbox.path()).unwrap().count();
+        assert_eq!(reused, 0, "{dir:?} was reused");
+        drop(sandbox);
+        // End to end: a run whose injection never fires must report no
+        // injections, not the dead run's.
+        let next = SANDBOX_SEQ.load(Ordering::Relaxed);
+        for seq in next..next + 64 {
+            plant(seq);
+        }
+        let outcome = r.run(0, &sh("exit 0")).unwrap();
+        assert_eq!(outcome.status, TestStatus::Passed);
+        assert!(outcome.injections.is_empty(), "{:?}", outcome.injections);
+        let _ = fs::remove_dir_all(r.root());
     }
 
     #[test]

@@ -48,6 +48,7 @@ use afex::campaign::{
     SpecOptions, RESUME_LOCKED_FLAGS,
 };
 use afex::core::campaign::{CampaignSnapshot, CampaignSpec};
+use afex::core::process::wait_readable;
 use afex::core::{
     ExplorerConfig, FaultReport, ImpactMetric, OutcomeEvaluator, SearchStrategy, Session,
     StopCondition, TestTimeout,
@@ -57,8 +58,10 @@ use afex::service::{CampaignRow, CampaignService};
 use afex::space::Point;
 use afex::targets::spaces::TargetSpace;
 use std::collections::HashMap;
+use std::os::fd::AsRawFd;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::time::Duration;
 
 fn usage() -> ! {
     eprintln!(
@@ -493,12 +496,22 @@ extern "C" {
 const SIGINT: i32 = 2;
 const SIGTERM: i32 = 15;
 
+/// The longest the serve loop waits for a connection before it checks
+/// `STOP` again, and its backoff after a failed `accept`.
+const ACCEPT_WAIT: Duration = Duration::from_millis(25);
+
 /// `afex-cli serve` — the campaign service daemon: bind the Unix
 /// socket, serve one request per connection, and on shutdown (protocol
 /// request or SIGINT/SIGTERM) drain the pool — in-flight cells finish
 /// and checkpoint, queued cells stay pending in their snapshots — and
 /// exit 0. Restarting on the same `--root` resumes every incomplete
 /// campaign byte-identically.
+///
+/// Between connections the loop blocks in `poll(2)` on the listener, so
+/// a connecting client wakes it at once. The wait is capped at
+/// [`ACCEPT_WAIT`] so a signal that lands on a pool thread instead of
+/// this one still stops the daemon within that bound; one that lands
+/// here interrupts the wait.
 fn cmd_serve(opts: &HashMap<String, String>) {
     let socket = opts
         .get("socket")
@@ -514,6 +527,14 @@ fn cmd_serve(opts: &HashMap<String, String>) {
         eprintln!("{e}");
         std::process::exit(1);
     });
+    // Armed before the socket exists: a client that can connect can
+    // also rely on SIGTERM draining the daemon.
+    // SAFETY: the handler only stores to an atomic, which is
+    // async-signal-safe.
+    unsafe {
+        signal(SIGINT, on_signal);
+        signal(SIGTERM, on_signal);
+    }
     // The daemon owns its socket path: a leftover file from a killed
     // daemon would make bind fail forever, so clear it first.
     let _ = std::fs::remove_file(socket);
@@ -524,10 +545,6 @@ fn cmd_serve(opts: &HashMap<String, String>) {
     listener
         .set_nonblocking(true)
         .expect("socket supports nonblocking accept");
-    unsafe {
-        signal(SIGINT, on_signal);
-        signal(SIGTERM, on_signal);
-    }
     println!("afex service: root {root}, {workers} workers, listening on {socket}");
     while !STOP.load(Ordering::SeqCst) {
         match listener.accept() {
@@ -544,11 +561,11 @@ fn cmd_serve(opts: &HashMap<String, String>) {
                 }
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(std::time::Duration::from_millis(25));
+                wait_readable(listener.as_raw_fd(), ACCEPT_WAIT);
             }
             Err(e) => {
                 eprintln!("accept error: {e}");
-                std::thread::sleep(std::time::Duration::from_millis(25));
+                std::thread::sleep(ACCEPT_WAIT);
             }
         }
     }

@@ -385,3 +385,55 @@ fn poison_campaign_fails_but_daemon_keeps_serving() {
     assert!(daemon.wait().unwrap().success());
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn idle_daemon_answers_each_request_at_once() {
+    // The accept loop waits on the listener, not on a clock. Each
+    // request comes after a pause long enough for the daemon to go
+    // idle, so a loop that sleeps between accepts makes every one of
+    // the twenty requests wait out the rest of a sleep.
+    let dir = scratch("latency");
+    let socket = dir.join("afex.sock");
+    let mut daemon = start_daemon(&socket, &dir.join("svc"), "1");
+    let mut took = Duration::ZERO;
+    for _ in 0..20 {
+        std::thread::sleep(Duration::from_millis(5));
+        let start = Instant::now();
+        let reply = afex::protocol::request(&socket, &afex::protocol::Request::List).unwrap();
+        took += start.elapsed();
+        assert!(
+            matches!(reply, afex::protocol::Response::List(ref rows) if rows.is_empty()),
+            "{reply:?}"
+        );
+    }
+    client(&socket, &["shutdown"]);
+    assert!(daemon.wait().unwrap().success());
+    assert!(took < Duration::from_millis(250), "20 List requests took {took:?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn sigterm_drains_an_idle_daemon() {
+    extern "C" {
+        fn kill(pid: i32, sig: i32) -> i32;
+    }
+    let dir = scratch("sigterm");
+    let socket = dir.join("afex.sock");
+    let mut daemon = start_daemon(&socket, &dir.join("svc"), "1");
+    // SAFETY: a plain signal send to our own, still unreaped child.
+    assert_eq!(unsafe { kill(daemon.id() as i32, 15) }, 0);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let status = loop {
+        if let Some(status) = daemon.try_wait().unwrap() {
+            break status;
+        }
+        if Instant::now() > deadline {
+            let _ = daemon.kill();
+            panic!("daemon ignored SIGTERM");
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    };
+    assert!(status.success(), "SIGTERM must drain and exit 0, got {status:?}");
+    assert!(!socket.exists(), "daemon must remove its socket");
+    let _ = std::fs::remove_dir_all(&dir);
+}
