@@ -19,9 +19,10 @@
 //!   [`chain_seeds`]).
 //! - [`submit`] — building and validating campaign specs from untyped
 //!   options, and loading/validating resumable snapshots.
-//! - [`run`] — driving pending cells to completion with durable
-//!   checkpoints: atomic snapshot writes, the streaming corpus exporter,
-//!   and the stop-aware hunt entry point.
+//! - [`dir`] — a campaign directory's whole life (create, resume,
+//!   checkpoint, finish, fail), for the CLI and the daemon alike.
+//! - [`run`] — driving pending cells to completion, the streaming corpus
+//!   exporter, and the stop-aware hunt entry point.
 //! - [`query`] — read-only views over snapshots: status rows, reports,
 //!   and top-failure rankings.
 //!
@@ -36,16 +37,17 @@
 //! snapshot whether the campaign runs in one go, is interrupted and
 //! resumed, or runs on pools of different sizes.
 
+pub(crate) mod dir;
 pub mod query;
 pub mod run;
 pub mod submit;
 
+pub(crate) use dir::{load_snapshot, CampaignDir};
+pub use dir::{sweep_stale_tmp, write_snapshot};
 pub use query::{report_of, status_of, top_failures, CampaignStatus};
 pub use run::{
-    checkpoint, is_transient_io, read_export, retry_io, run_campaign, run_hunt, run_pending,
-    sweep_stale_tmp, write_snapshot, write_snapshot_with_backup, CorpusExporter, CorpusReader,
-    HuntSpec,
-    RunError,
+    read_export, run_campaign, run_hunt, run_pending, CorpusExporter, CorpusReader, HuntSpec,
+    RunError, RunStep,
 };
 pub use submit::{
     build_spec, load_resume_snapshot, validate_snapshot, validate_spec, ResumeError, SpecOptions,

@@ -1,17 +1,17 @@
-//! Driving campaigns to completion with durable checkpoints.
+//! Driving campaigns to completion.
 //!
 //! The execution half of the library layer: [`run_pending`] runs a
-//! snapshot's pending cells on the campaign pool, [`write_snapshot`]
-//! checkpoints atomically, [`CorpusExporter`] mirrors the deduped corpus
-//! to an append-only JSONL file, and [`run_campaign`] ties the three
-//! together — create the output directory, sweep stale temp files, run,
-//! checkpoint every cell, write the summary. [`run_hunt`] is the
-//! stop-aware single-session sibling behind `afex-cli hunt`. Everything
-//! returns typed errors ([`RunError`]) whose `Display` renderings are
-//! the messages the CLI has always printed; nothing here prints or
-//! exits.
+//! snapshot's pending cells on the campaign pool, [`CorpusExporter`]
+//! mirrors the deduped corpus to an append-only JSONL file, and
+//! [`run_campaign`] drives one campaign through its directory's life
+//! ([`CampaignDir`]: create or reopen, checkpoint every cell, finish).
+//! [`run_hunt`] is the stop-aware single-session sibling behind
+//! `afex-cli hunt`. Everything returns typed errors ([`RunError`]) whose
+//! `Display` renderings are the messages the CLI has always printed;
+//! nothing here prints or exits.
 
-use super::{chain_seeds_cached_into, run_cell, run_target, TraceSeeds};
+use super::dir::with_suffix;
+use super::{chain_seeds_cached_into, run_cell, run_target, CampaignDir, TraceSeeds};
 use crate::core::campaign::{
     CampaignCell, CampaignReport, CampaignSnapshot, CampaignSpec, CellOutcome, ExportRecord,
     TestTimeout,
@@ -22,7 +22,7 @@ use crate::core::{
 use afex_cluster::{CellChain, CellResult, MultiplexPool};
 use std::collections::HashSet;
 use std::fmt;
-use std::io::Write as _;
+use std::io::{Error, ErrorKind, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -151,96 +151,27 @@ where
     }
 }
 
-/// Writes the snapshot atomically (temp file + rename) so an interrupt
-/// mid-write never corrupts the resumable state. The temp file is the
-/// snapshot path plus a `.tmp` *suffix* — `with_extension` would make
-/// outputs differing only in extension collide on one temp file. On
-/// failure the temp file is removed again: a write that did not land
-/// must not leave a stale `.tmp` behind to confuse the next resume
-/// (crashes mid-write still can, which is what [`sweep_stale_tmp`]
-/// handles on open).
-///
-/// # Errors
-///
-/// Returns the I/O error of the write or rename; the campaign driver
-/// turns it into a nonzero exit (a run whose checkpoint failed is not
-/// resumable, and exiting 0 would hide that).
-pub fn write_snapshot(snap: &CampaignSnapshot, path: &Path) -> std::io::Result<()> {
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(".tmp");
-    let tmp = PathBuf::from(tmp);
-    let body = snap.to_json() + "\n";
-    let result = std::fs::write(&tmp, body).and_then(|()| std::fs::rename(&tmp, path));
-    if result.is_err() {
-        let _ = std::fs::remove_file(&tmp);
-    }
-    result
-}
-
-/// Writes the snapshot atomically like [`write_snapshot`], additionally
-/// preserving the previous on-disk snapshot as `<path>.bak` before the
-/// rename lands. The daemon checkpoints through this so that a snapshot
-/// corrupted *after* it landed (disk fault, operator accident) still
-/// leaves the previous good checkpoint to fall back to on restart —
-/// resuming from an older checkpoint is safe because cell replay is
-/// deterministic and converges to byte-identical final state.
-///
-/// Crash windows: a crash between the backup rename and the final rename
-/// leaves `<path>` missing but `<path>.bak` complete (replay restores
-/// it); a crash before the backup rename leaves both untouched. The
-/// `.bak` file is never swept by [`sweep_stale_tmp`] (it only removes
-/// `*.tmp`).
-///
-/// # Errors
-///
-/// Returns the I/O error of the write or either rename.
-pub fn write_snapshot_with_backup(snap: &CampaignSnapshot, path: &Path) -> std::io::Result<()> {
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(".tmp");
-    let tmp = PathBuf::from(tmp);
-    let mut bak = path.as_os_str().to_owned();
-    bak.push(".bak");
-    let bak = PathBuf::from(bak);
-    let body = snap.to_json() + "\n";
-    let result = std::fs::write(&tmp, body)
-        .and_then(|()| {
-            if path.exists() {
-                std::fs::rename(path, &bak)
-            } else {
-                Ok(())
-            }
-        })
-        .and_then(|()| std::fs::rename(&tmp, path));
-    if result.is_err() {
-        let _ = std::fs::remove_file(&tmp);
-    }
-    result
-}
+/// How many attempts every campaign-directory write gets (≈14 ms of
+/// backoff in all) before the CLI exits 1 or the daemon degrades.
+const IO_ATTEMPTS: u32 = 4;
 
 /// Whether an I/O error is worth retrying: the transient errno classes
 /// (EINTR, EAGAIN) plus ENOSPC — disk-full commonly clears when a
 /// co-located log rotates or a neighbor frees space, and a checkpoint
 /// that rides out the window beats one that gives up.
-pub fn is_transient_io(e: &std::io::Error) -> bool {
-    matches!(
-        e.kind(),
-        std::io::ErrorKind::Interrupted | std::io::ErrorKind::WouldBlock
-    ) || matches!(e.raw_os_error(), Some(4 | 11 | 28)) // EINTR, EAGAIN, ENOSPC
+fn is_transient_io(e: &Error) -> bool {
+    matches!(e.kind(), ErrorKind::Interrupted | ErrorKind::WouldBlock)
+        || matches!(e.raw_os_error(), Some(4 | 11 | 28)) // EINTR, EAGAIN, ENOSPC
 }
 
-/// Runs `op` up to `attempts` times, sleeping with exponential backoff
-/// (2 ms, 4 ms, 8 ms, …) between tries, retrying only transient errors
-/// ([`is_transient_io`]). `on_retry` observes each error that triggers a
-/// retry — the service counts them for its health surface. Non-transient
-/// errors and the final attempt's error return immediately.
-///
-/// # Errors
-///
-/// Returns the last error once attempts are exhausted, or the first
-/// non-transient error.
-pub fn retry_io<T>(
-    attempts: u32,
-    mut on_retry: impl FnMut(&std::io::Error),
+/// Runs `op` up to [`IO_ATTEMPTS`] times, sleeping with exponential
+/// backoff (2 ms, 4 ms, 8 ms) between tries, retrying only transient
+/// errors ([`is_transient_io`]). `on_retry` observes each error that
+/// triggers a retry — the service counts them for its health surface.
+/// Non-transient errors and the final attempt's error return
+/// immediately.
+pub(crate) fn retry_io<T>(
+    mut on_retry: impl FnMut(&Error),
     mut op: impl FnMut() -> std::io::Result<T>,
 ) -> std::io::Result<T> {
     let mut delay = std::time::Duration::from_millis(2);
@@ -250,7 +181,7 @@ pub fn retry_io<T>(
             Ok(v) => return Ok(v),
             Err(e) => {
                 tries += 1;
-                if tries >= attempts.max(1) || !is_transient_io(&e) {
+                if tries >= IO_ATTEMPTS || !is_transient_io(&e) {
                     return Err(e);
                 }
                 on_retry(&e);
@@ -261,121 +192,77 @@ pub fn retry_io<T>(
     }
 }
 
-/// Removes orphaned `.tmp` files from a campaign directory — the debris
-/// of a crash between a temp-file write and its rename. Called when a
-/// campaign directory is opened or resumed (CLI and daemon alike); the
-/// snapshot itself is never touched, since the atomic rename guarantees
-/// it is either the old or the new complete state. Returns how many
-/// files were swept; a missing directory sweeps nothing.
-///
-/// # Errors
-///
-/// Returns the I/O error of the directory listing or a removal.
-pub fn sweep_stale_tmp(dir: &Path) -> std::io::Result<usize> {
-    let entries = match std::fs::read_dir(dir) {
-        Ok(entries) => entries,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(0),
-        Err(e) => return Err(e),
-    };
-    let mut swept = 0;
-    for entry in entries {
-        let entry = entry?;
-        let is_tmp = entry
-            .file_name()
-            .to_str()
-            .is_some_and(|name| name.ends_with(".tmp"));
-        if is_tmp && entry.file_type()?.is_file() {
-            std::fs::remove_file(entry.path())?;
-            swept += 1;
-        }
-    }
-    Ok(swept)
+/// Which campaign-directory step failed ([`RunError::step`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RunStep {
+    /// Creating or sweeping the directory.
+    CreateDir,
+    /// Reading or parsing the snapshot (and its backup).
+    Load,
+    /// Opening the corpus export (or parsing its existing lines).
+    OpenExport,
+    /// Writing the snapshot.
+    Snapshot,
+    /// Appending to the corpus export.
+    Export,
+    /// Writing the summary.
+    Summary,
+    /// Writing the failure marker (or reading it back on reopen).
+    Failure,
 }
 
-/// Why a campaign run failed around the cells (the cells themselves are
-/// infallible-by-construction: a validated spec either runs or panics on
-/// a caller bug). The `Display` renderings are the CLI's long-standing
-/// messages; every variant is an exit-1 class failure — the campaign
-/// state on disk is whatever the last successful checkpoint left.
+impl RunStep {
+    /// The error of this step at `path`, as a `map_err` argument.
+    pub(crate) fn at(self, path: &Path) -> impl FnOnce(Error) -> RunError + '_ {
+        move |source| RunError {
+            step: self,
+            path: path.to_owned(),
+            source,
+        }
+    }
+}
+
+/// Why a [`CampaignDir`] step failed (the cells themselves either run or
+/// panic). The `Display` renderings are the CLI's exit-1 messages and the
+/// daemon's degraded-mode errors; the directory then holds whatever the
+/// last successful checkpoint left.
 #[derive(Debug)]
-pub enum RunError {
-    /// The output directory could not be created.
-    CreateDir {
-        /// The directory as the caller spelled it.
-        path: PathBuf,
-        /// The underlying I/O error.
-        source: std::io::Error,
-    },
-    /// The corpus-export file could not be opened (or its existing
-    /// contents failed to parse).
-    OpenExport {
-        /// The export path as the caller spelled it.
-        path: PathBuf,
-        /// The underlying I/O error.
-        source: std::io::Error,
-    },
-    /// A snapshot checkpoint did not land on disk.
-    Snapshot {
-        /// The snapshot path.
-        path: PathBuf,
-        /// The underlying I/O error.
-        source: std::io::Error,
-    },
-    /// A corpus-export append failed.
-    Export(std::io::Error),
-    /// The final summary file could not be written.
-    Summary {
-        /// The summary path.
-        path: PathBuf,
-        /// The underlying I/O error.
-        source: std::io::Error,
-    },
+pub struct RunError {
+    /// The step that failed.
+    pub step: RunStep,
+    /// The path involved, as the caller spelled it.
+    pub path: PathBuf,
+    /// The underlying I/O error.
+    pub source: Error,
 }
 
 impl fmt::Display for RunError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            RunError::CreateDir { path, source } => {
-                write!(f, "cannot create {}: {source}", path.display())
-            }
-            RunError::OpenExport { path, source } => {
-                write!(f, "cannot open corpus export {}: {source}", path.display())
-            }
-            RunError::Snapshot { path, source } => {
-                write!(f, "cannot write snapshot {}: {source}", path.display())
-            }
-            RunError::Export(source) => write!(f, "cannot append corpus export: {source}"),
-            RunError::Summary { path, source } => {
-                write!(f, "cannot write summary {}: {source}", path.display())
-            }
+        let (path, source) = (self.path.display(), &self.source);
+        match self.step {
+            RunStep::CreateDir => write!(f, "cannot create {path}: {source}"),
+            RunStep::Load => write!(f, "cannot load snapshot {path}: {source}"),
+            RunStep::OpenExport => write!(f, "cannot open corpus export {path}: {source}"),
+            RunStep::Snapshot => write!(f, "cannot write snapshot {path}: {source}"),
+            RunStep::Export => write!(f, "cannot append corpus export: {source}"),
+            RunStep::Summary => write!(f, "cannot write summary {path}: {source}"),
+            RunStep::Failure => write!(f, "cannot write {path}: {source}"),
         }
     }
 }
 
 impl std::error::Error for RunError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            RunError::CreateDir { source, .. }
-            | RunError::OpenExport { source, .. }
-            | RunError::Snapshot { source, .. }
-            | RunError::Export(source)
-            | RunError::Summary { source, .. } => Some(source),
-        }
+        Some(&self.source)
     }
 }
 
 /// Runs a campaign to completion in `out_dir`, checkpointing after every
-/// cell: the one driver behind `afex-cli campaign`, the daemon's
-/// single-campaign fallback, and the integration tests.
-///
-/// Creates the directory, sweeps stale `.tmp` debris, opens the corpus
-/// export (`resume` appends-and-reconciles, fresh truncates — inheriting
-/// records from an unrelated earlier run would both pollute the file and
-/// suppress this campaign's colliding records), drives the pending cells
-/// with a checkpoint per completion, writes a final checkpoint (which
-/// also covers the nothing-pending case and reconciles a resumed export
-/// with the resumed snapshot's store), and lands `summary.json`. The
-/// snapshot lives at `out_dir/campaign.json`.
+/// cell: the one driver behind `afex-cli campaign` and the integration
+/// tests. A fresh run lands the directory first ([`CampaignDir::create`]);
+/// a resumed `snap`, already loaded by the caller, reopens it
+/// ([`CampaignDir::open`]). Then the pending cells run with a checkpoint
+/// per completion, and `summary.json` lands.
 ///
 /// # Errors
 ///
@@ -396,70 +283,21 @@ pub fn run_campaign(
     export: Option<&Path>,
     resume: bool,
 ) -> Result<CampaignReport, RunError> {
-    std::fs::create_dir_all(out_dir).map_err(|source| RunError::CreateDir {
-        path: out_dir.to_owned(),
-        source,
-    })?;
-    sweep_stale_tmp(out_dir).map_err(|source| RunError::CreateDir {
-        path: out_dir.to_owned(),
-        source,
-    })?;
-    let mut exporter = match export {
-        Some(path) => {
-            let opened = if resume {
-                CorpusExporter::open(path)
-            } else {
-                CorpusExporter::create(path)
-            };
-            Some(opened.map_err(|source| RunError::OpenExport {
-                path: path.to_owned(),
-                source,
-            })?)
-        }
-        None => None,
+    let mut dir = if resume {
+        CampaignDir::open(out_dir, export, snap, |_| ())?
+    } else {
+        CampaignDir::create(out_dir, export, snap, |_| ())?
     };
-    let snap_path = out_dir.join("campaign.json");
     let mut first_err: Option<RunError> = None;
     run_pending(snap, workers, |s| {
         if first_err.is_none() {
-            first_err = checkpoint(s, &snap_path, exporter.as_mut()).err();
+            first_err = dir.checkpoint(s, |_| ()).err();
         }
     });
-    if let Some(e) = first_err {
-        return Err(e);
+    match first_err {
+        Some(e) => Err(e),
+        None => dir.finish(snap, |_| ()),
     }
-    checkpoint(snap, &snap_path, exporter.as_mut())?;
-    let report = CampaignReport::from_snapshot(snap);
-    let summary_path = out_dir.join("summary.json");
-    std::fs::write(&summary_path, report.to_json() + "\n").map_err(|source| {
-        RunError::Summary {
-            path: summary_path.clone(),
-            source,
-        }
-    })?;
-    Ok(report)
-}
-
-/// Checkpoints the snapshot (and the streaming export, if any): the
-/// per-cell durability step shared by [`run_campaign`] and the daemon.
-///
-/// # Errors
-///
-/// Returns the first failed write as a [`RunError`] — the run is not
-/// resumable past a checkpoint that did not land on disk.
-pub fn checkpoint(
-    snap: &CampaignSnapshot,
-    snap_path: &Path,
-    exporter: Option<&mut CorpusExporter>,
-) -> Result<(), RunError> {
-    write_snapshot(snap, snap_path).map_err(|source| RunError::Snapshot {
-        path: snap_path.to_owned(),
-        source,
-    })?;
-    if let Some(ex) = exporter {
-        ex.sync(snap).map_err(RunError::Export)?;
-    }
-    Ok(())
 }
 
 /// One hunt: the §6.2 "find N crash scenarios" search target as a
@@ -519,13 +357,6 @@ pub fn run_hunt(hunt: &HuntSpec) -> Result<SessionResult, String> {
     .map(|(_, result)| result)
 }
 
-/// The sidecar offset-index path for an export file: `<file>.idx`.
-fn export_idx_path(path: &Path) -> PathBuf {
-    let mut s = path.as_os_str().to_owned();
-    s.push(".idx");
-    PathBuf::from(s)
-}
-
 /// One fixed-width sidecar index line: the record's byte offset in the
 /// export file as 16 lowercase hex digits plus newline, so record `i`'s
 /// offset lives at byte `17 * i` of the sidecar and seeking by record
@@ -551,10 +382,10 @@ fn idx_line(offset: u64) -> String {
 /// cell order (the chain contract), so a record's earliest-cell credit
 /// never changes after it is written. Re-opening the file reconciles it
 /// against the snapshot — a kill between the snapshot write and the
-/// export append, or a torn final line, heals on the next `sync` — and
-/// deterministically rewrites the sidecar from the healed record file,
-/// so the index is always a pure function of the export bytes (a
-/// missing or torn sidecar is never trusted, only rebuilt).
+/// export append, or a torn final line, heals on the `sync` that
+/// [`CampaignDir::open`] makes — and rewrites the sidecar from the healed
+/// record file, so the index is always a pure function of the export
+/// bytes (a missing or torn sidecar is never trusted, only rebuilt).
 pub struct CorpusExporter {
     file: std::fs::File,
     idx: std::fs::File,
@@ -570,29 +401,15 @@ impl CorpusExporter {
     /// Creates a fresh export file and sidecar index, truncating
     /// whatever was there: a new campaign must not inherit records from
     /// an unrelated earlier run (which would both pollute the file and
-    /// suppress this campaign's colliding records). Resumed campaigns
-    /// use [`Self::open`].
+    /// suppress this campaign's colliding records). The emptied file then
+    /// opens like a resumed one ([`Self::open`]).
     ///
     /// # Errors
     ///
     /// Returns the I/O error of the create.
     pub fn create(path: &Path) -> std::io::Result<Self> {
-        let file = std::fs::OpenOptions::new()
-            .create(true)
-            .write(true)
-            .truncate(true)
-            .open(path)?;
-        let idx = std::fs::OpenOptions::new()
-            .create(true)
-            .write(true)
-            .truncate(true)
-            .open(export_idx_path(path))?;
-        Ok(CorpusExporter {
-            file,
-            idx,
-            end: 0,
-            seen: std::collections::HashMap::new(),
-        })
+        std::fs::File::create(path)?;
+        Self::open(path)
     }
 
     /// Opens (or creates) an export file for appending — the resume
@@ -639,7 +456,7 @@ impl CorpusExporter {
             .create(true)
             .write(true)
             .truncate(true)
-            .open(export_idx_path(path))?;
+            .open(with_suffix(path, ".idx"))?;
         idx.write_all(offsets.as_bytes())?;
         idx.flush()?;
         Ok(CorpusExporter {
@@ -664,7 +481,9 @@ impl CorpusExporter {
     /// to the sidecar index), leaving the file's record set equal to
     /// the snapshot store's. The record batch lands and flushes before
     /// the index batch, so a kill in between leaves the sidecar merely
-    /// stale — [`Self::open`] rebuilds it from the record file.
+    /// stale — [`Self::open`] rebuilds it from the record file. A batch
+    /// whose append fails is cut off both files again and not counted as
+    /// written, so a retried `sync` appends it whole.
     ///
     /// # Errors
     ///
@@ -673,6 +492,7 @@ impl CorpusExporter {
         let mut batch = String::new();
         let mut offsets = String::new();
         let mut offset = self.end;
+        let mut added = Vec::new();
         for ((target, code), record) in snap.store.iter() {
             if self
                 .seen
@@ -690,14 +510,26 @@ impl CorpusExporter {
             offset += line.len() as u64 + 1;
             batch.push_str(&line);
             batch.push('\n');
-            self.seen.entry(target.clone()).or_default().insert(*code);
+            added.push((target, *code));
         }
-        if !batch.is_empty() {
-            self.file.write_all(batch.as_bytes())?;
-            self.file.flush()?;
-            self.end = offset;
-            self.idx.write_all(offsets.as_bytes())?;
-            self.idx.flush()?;
+        if batch.is_empty() {
+            return Ok(());
+        }
+        let idx_end = (IDX_LINE_BYTES * self.len()) as u64;
+        let appended = self
+            .file
+            .write_all(batch.as_bytes())
+            .and_then(|()| self.file.flush())
+            .and_then(|()| self.idx.write_all(offsets.as_bytes()))
+            .and_then(|()| self.idx.flush());
+        if let Err(e) = appended {
+            let _ = self.file.set_len(self.end);
+            let _ = self.idx.set_len(idx_end);
+            return Err(e);
+        }
+        self.end = offset;
+        for (target, code) in added {
+            self.seen.entry(target.clone()).or_default().insert(code);
         }
         Ok(())
     }
@@ -725,7 +557,7 @@ impl CorpusReader {
     pub fn open(path: &Path) -> std::io::Result<Self> {
         let file = std::fs::File::open(path)?;
         let file_len = file.metadata()?.len();
-        let offsets = match Self::sidecar_offsets(&export_idx_path(path), file_len) {
+        let offsets = match Self::sidecar_offsets(&with_suffix(path, ".idx"), file_len) {
             Some(offsets) => offsets,
             None => Self::scanned_offsets(path)?,
         };
@@ -884,53 +716,16 @@ mod tests {
     }
 
     #[test]
-    fn write_snapshot_cleans_its_tmp_on_failure() {
-        let dir = tmp_dir("tmpclean");
-        // Renaming onto an existing non-empty *directory* fails, so the
-        // write lands in the temp file and the rename errors out.
-        let blocked = dir.join("campaign.json");
-        std::fs::create_dir_all(blocked.join("occupied")).unwrap();
-        let snap = CampaignSnapshot::new(tiny_spec());
-        let err = write_snapshot(&snap, &blocked);
-        assert!(err.is_err(), "rename onto a non-empty dir must fail");
-        assert!(
-            !dir.join("campaign.json.tmp").exists(),
-            "failed write must not leave a stale .tmp behind"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn backup_write_preserves_previous_snapshot() {
-        let dir = tmp_dir("bak");
-        let path = dir.join("campaign.json");
-        let snap = CampaignSnapshot::new(tiny_spec());
-        // First write: no previous snapshot, so no .bak appears.
-        write_snapshot_with_backup(&snap, &path).unwrap();
-        let first = std::fs::read(&path).unwrap();
-        assert!(!dir.join("campaign.json.bak").exists());
-        // Second write: the first landing becomes the backup.
-        write_snapshot_with_backup(&snap, &path).unwrap();
-        assert_eq!(std::fs::read(dir.join("campaign.json.bak")).unwrap(), first);
-        assert_eq!(std::fs::read(&path).unwrap(), first);
-        // The backup is not .tmp debris: the sweep leaves it alone.
-        assert_eq!(sweep_stale_tmp(&dir).unwrap(), 0);
-        assert!(dir.join("campaign.json.bak").exists());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn retry_io_rides_out_transient_errors_only() {
         // Two EINTRs then success: three attempts, two retries observed.
         let mut fails = 2;
         let mut seen = 0;
         let v = retry_io(
-            4,
             |_| seen += 1,
             || {
                 if fails > 0 {
                     fails -= 1;
-                    Err(std::io::Error::from_raw_os_error(4)) // EINTR
+                    Err(Error::from_raw_os_error(4)) // EINTR
                 } else {
                     Ok(42)
                 }
@@ -940,34 +735,45 @@ mod tests {
         assert_eq!((v, seen), (42, 2));
         // A non-transient error returns immediately, no retries.
         let mut seen = 0;
-        let e = retry_io(4, |_| seen += 1, || {
-            Err::<(), _>(std::io::Error::new(std::io::ErrorKind::PermissionDenied, "nope"))
-        })
+        let e = retry_io(
+            |_| seen += 1,
+            || Err::<(), _>(Error::new(ErrorKind::PermissionDenied, "nope")),
+        )
         .unwrap_err();
-        assert_eq!((e.kind(), seen), (std::io::ErrorKind::PermissionDenied, 0));
-        // Exhausted attempts return the last transient error.
+        assert_eq!((e.kind(), seen), (ErrorKind::PermissionDenied, 0));
+        // Exhausted attempts return the last transient error: every
+        // attempt but the last is retried.
         let mut seen = 0;
-        let e = retry_io(3, |_| seen += 1, || {
-            Err::<(), _>(std::io::Error::from_raw_os_error(28)) // ENOSPC
-        })
+        let e = retry_io(
+            |_| seen += 1,
+            || {
+                Err::<(), _>(Error::from_raw_os_error(28)) // ENOSPC
+            },
+        )
         .unwrap_err();
-        assert_eq!((e.raw_os_error(), seen), (Some(28), 2));
+        assert_eq!((e.raw_os_error(), seen), (Some(28), IO_ATTEMPTS - 1));
     }
 
     #[test]
-    fn sweep_clears_orphaned_tmp_files_only() {
-        let dir = tmp_dir("sweep");
-        std::fs::write(dir.join("campaign.json.tmp"), b"torn").unwrap();
-        std::fs::write(dir.join("other.tmp"), b"torn").unwrap();
-        std::fs::write(dir.join("campaign.json"), b"{}").unwrap();
-        std::fs::create_dir_all(dir.join("sub.tmp")).unwrap(); // dirs survive
-        assert_eq!(sweep_stale_tmp(&dir).unwrap(), 2);
-        assert!(dir.join("campaign.json").exists());
-        assert!(dir.join("sub.tmp").exists());
-        assert!(!dir.join("campaign.json.tmp").exists());
-        // Idempotent, and a missing directory sweeps nothing.
-        assert_eq!(sweep_stale_tmp(&dir).unwrap(), 0);
-        assert_eq!(sweep_stale_tmp(&dir.join("nosuch")).unwrap(), 0);
+    fn a_failed_export_sync_is_retried_whole() {
+        let dir = tmp_dir("sync-retry");
+        let path = dir.join("corpus.jsonl");
+        let mut snap = CampaignSnapshot::new(tiny_spec());
+        run_pending(&mut snap, 1, |_| {});
+        assert!(!snap.store.is_empty(), "the cell found nothing to export");
+        let mut exporter = CorpusExporter::create(&path).unwrap();
+        // A handle that cannot write: the append fails, and none of the
+        // batch may count as written.
+        exporter.file = std::fs::File::open(&path).unwrap();
+        assert!(exporter.sync(&snap).is_err());
+        assert!(exporter.is_empty());
+        exporter.file = std::fs::OpenOptions::new()
+            .append(true)
+            .open(&path)
+            .unwrap();
+        exporter.sync(&snap).unwrap();
+        assert_eq!(read_export(&path).unwrap().len(), snap.store.len());
+        assert_eq!(CorpusReader::open(&path).unwrap().len(), snap.store.len());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

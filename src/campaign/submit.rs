@@ -7,6 +7,7 @@
 //! so the CLI (exit 2) and the campaign service (protocol error reply)
 //! report identically without duplicating the logic.
 
+use super::dir::load_snapshot;
 use super::{canonicalize_strategies, canonicalize_targets, check_target_artifacts, known_target};
 use crate::core::campaign::{CampaignSnapshot, CampaignSpec, StopPolicy, TestTimeout};
 use serde::{Deserialize, Serialize};
@@ -220,8 +221,8 @@ pub fn validate_snapshot(snap: &CampaignSnapshot) -> Result<(), String> {
     Ok(())
 }
 
-/// Loads and validates a resumable snapshot from disk: read, parse,
-/// [`validate_snapshot`].
+/// Loads and validates a resumable snapshot from disk: [`load_snapshot`]
+/// (falling back to the `.bak` checkpoint), then [`validate_snapshot`].
 ///
 /// # Errors
 ///
@@ -231,8 +232,7 @@ pub fn load_resume_snapshot(path: &Path) -> Result<CampaignSnapshot, ResumeError
         path: path.to_owned(),
         detail,
     };
-    let text = std::fs::read_to_string(path).map_err(|e| fail(e.to_string()))?;
-    let snap = CampaignSnapshot::from_json(&text).map_err(|e| fail(e.to_string()))?;
+    let snap = load_snapshot(path, |_| ()).map_err(|e| fail(e.source.to_string()))?;
     validate_snapshot(&snap).map_err(fail)?;
     Ok(snap)
 }

@@ -30,22 +30,20 @@
 //! ## Durability
 //!
 //! Each campaign owns a directory under `<root>/campaigns/<id>/`:
-//! `preseed.json` (frozen at submission), `campaign.json` (the
-//! atomically checkpointed snapshot, written after every cell),
-//! `corpus.jsonl` (the streaming per-campaign export, synced with every
-//! checkpoint), and `summary.json` (the final report, written at
-//! completion). [`CampaignService::open`] on an existing root replays
-//! this state: snapshots load in id order, the global corpus is rebuilt
-//! from their recorded outcomes, and incomplete campaigns re-enter the
-//! pool seeded from their own `preseed.json` plus their completed
-//! prefix — the same seeds their next cells would have seen had the
-//! daemon never died.
+//! `preseed.json` (frozen at submission) beside the files of the
+//! [`CampaignDir`] lifecycle `afex-cli campaign` shares — the snapshot
+//! and its backup, `corpus.jsonl`, `summary.json`, `failed.txt`.
+//! [`CampaignService::open`] on an existing root replays this state:
+//! snapshots load in id order, the global corpus is rebuilt from their
+//! recorded outcomes, and incomplete campaigns re-enter the pool seeded
+//! from their own `preseed.json` plus their completed prefix — the same
+//! seeds their next cells would have seen had the daemon never died.
 
+use crate::campaign::dir::with_suffix;
 use crate::campaign::run::{campaign_pool, pending_chains, quarantine_detail, CellDone, PoolCell};
 use crate::campaign::{
-    build_spec, retry_io, status_of, sweep_stale_tmp, top_failures, write_snapshot,
-    write_snapshot_with_backup, CampaignStatus, CorpusExporter, SpecOptions, SubmitError,
-    TraceSeeds,
+    build_spec, load_snapshot, status_of, top_failures, CampaignDir, CampaignStatus, RunError,
+    RunStep, SpecOptions, SubmitError, TraceSeeds,
 };
 use crate::core::campaign::{CampaignReport, CampaignSnapshot, ExportRecord};
 use crate::core::TraceStore;
@@ -56,10 +54,6 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-
-/// How many attempts every durability write gets before the service
-/// declares the job degraded (≈14 ms of backoff end to end).
-const IO_ATTEMPTS: u32 = 4;
 
 /// Why a service operation failed. `Display` renderings are what the
 /// protocol sends back as error replies.
@@ -99,6 +93,20 @@ impl fmt::Display for ServiceError {
             }
             ServiceError::UnknownCampaign(id) => write!(f, "unknown campaign {id}"),
         }
+    }
+}
+
+impl From<RunError> for ServiceError {
+    /// State that does not parse (a snapshot with no usable backup, an
+    /// export line) or a missing snapshot is campaign-local damage, which
+    /// quarantines its directory; any other I/O error aborts the replay.
+    fn from(RunError { step, path, source }: RunError) -> Self {
+        let detail = match source.kind() {
+            std::io::ErrorKind::InvalidData => source.to_string(),
+            std::io::ErrorKind::NotFound if step == RunStep::Load => "missing snapshot".to_owned(),
+            _ => return ServiceError::Io { path, source },
+        };
+        ServiceError::Corrupt { path, detail }
     }
 }
 
@@ -142,6 +150,15 @@ pub struct ServiceStats {
     flush_recoveries: AtomicU64,
     /// Cells whose execution panicked (each fails its campaign).
     cell_panics: AtomicU64,
+}
+
+impl ServiceStats {
+    /// The observer the campaign-directory steps report retries to.
+    fn on_retry(&self) -> impl FnMut(&std::io::Error) + '_ {
+        |_| {
+            self.io_retries.fetch_add(1, Ordering::Relaxed);
+        }
+    }
 }
 
 /// A campaign directory moved aside at replay because its state could
@@ -256,14 +273,13 @@ impl PreseedFile {
     }
 }
 
-/// One campaign's mutable state: its snapshot, its streaming export,
-/// the current durability error (degraded mode), and the terminal
-/// failure reason if a cell panicked. The pool's completion callback
-/// and the query methods share it behind one mutex.
+/// One campaign's mutable state: its snapshot, its directory, the
+/// current durability error (degraded mode), and the terminal failure
+/// reason if a cell panicked. The pool's completion callback and the
+/// query methods share it behind one mutex.
 struct Job {
-    dir: PathBuf,
+    dir: CampaignDir,
     snap: CampaignSnapshot,
-    exporter: CorpusExporter,
     error: Option<String>,
     failed: Option<String>,
     /// Memoized progress row, dropped whenever `snap` records a new
@@ -282,38 +298,20 @@ impl Job {
             .clone()
     }
 
-    /// Checkpoints snapshot + export with bounded retry on transient
-    /// errors. A persistent failure puts the job in *degraded mode*:
-    /// the in-memory snapshot keeps advancing (status/list/inspect all
-    /// keep answering from it), the error is surfaced, and **every
-    /// subsequent checkpoint tries the disk again** — when a write
-    /// finally lands, the whole accumulated state flushes at once (the
-    /// snapshot write is the full state, and the exporter syncs every
-    /// missing record), the error clears, and the recovery is counted.
-    /// Checkpoints go through [`write_snapshot_with_backup`] so the
-    /// previous good snapshot survives as `campaign.json.bak`.
+    /// Checkpoints the snapshot and the export. A persistent failure
+    /// puts the job in *degraded mode*: the in-memory snapshot keeps
+    /// advancing and answering queries, the error is surfaced, and
+    /// **every later checkpoint tries the disk again** — the first that
+    /// lands flushes the whole state, clears the error, and counts the
+    /// recovery.
     fn checkpoint(&mut self, stats: &ServiceStats) {
-        let snap_path = self.dir.join("campaign.json");
-        let snap = &self.snap;
-        let exporter = &mut self.exporter;
-        let on_retry = |_: &std::io::Error| {
-            stats.io_retries.fetch_add(1, Ordering::Relaxed);
-        };
-        let result = retry_io(IO_ATTEMPTS, on_retry, || {
-            write_snapshot_with_backup(snap, &snap_path)
-        })
-        .map_err(|e| format!("cannot write snapshot {}: {e}", snap_path.display()))
-        .and_then(|()| {
-            retry_io(IO_ATTEMPTS, on_retry, || exporter.sync(snap))
-                .map_err(|e| format!("cannot append corpus export: {e}"))
-        });
-        match result {
+        match self.dir.checkpoint(&self.snap, stats.on_retry()) {
             Ok(()) => {
                 if self.error.take().is_some() {
                     stats.flush_recoveries.fetch_add(1, Ordering::Relaxed);
                 }
             }
-            Err(msg) => self.error = Some(msg),
+            Err(e) => self.error = Some(e.to_string()),
         }
     }
 
@@ -324,39 +322,18 @@ impl Job {
         if self.error.is_some() || self.failed.is_some() || !self.snap.is_complete() {
             return;
         }
-        let report = CampaignReport::from_snapshot(&self.snap);
-        let path = self.dir.join("summary.json");
-        let body = report.to_json() + "\n";
-        let landed = retry_io(
-            IO_ATTEMPTS,
-            |_| {
-                stats.io_retries.fetch_add(1, Ordering::Relaxed);
-            },
-            || std::fs::write(&path, &body),
-        );
-        if let Err(e) = landed {
-            self.error = Some(format!("cannot write summary {}: {e}", path.display()));
+        if let Err(e) = self.dir.finish(&self.snap, stats.on_retry()) {
+            self.error = Some(e.to_string());
         }
     }
 
-    /// Marks the campaign terminally failed (a cell panicked): records
-    /// the reason in memory and durably in `failed.txt`, so a restarted
-    /// daemon shows the failure instead of re-running the panicking
-    /// cell. Best-effort on disk — a write failure leaves the job
+    /// Marks the campaign terminally failed (a cell panicked), in memory
+    /// and durably. Best-effort on disk — a write failure leaves the job
     /// degraded but the in-memory verdict stands.
     fn fail(&mut self, reason: String, stats: &ServiceStats) {
         stats.cell_panics.fetch_add(1, Ordering::Relaxed);
-        let path = self.dir.join("failed.txt");
-        let body = reason.clone() + "\n";
-        let landed = retry_io(
-            IO_ATTEMPTS,
-            |_| {
-                stats.io_retries.fetch_add(1, Ordering::Relaxed);
-            },
-            || std::fs::write(&path, &body),
-        );
-        if let Err(e) = landed {
-            self.error = Some(format!("cannot write {}: {e}", path.display()));
+        if let Err(e) = self.dir.fail(&reason, stats.on_retry()) {
+            self.error = Some(e.to_string());
         }
         self.failed = Some(reason);
     }
@@ -467,95 +444,32 @@ impl CampaignService {
     /// is unusable and the caller should quarantine it.
     fn replay_dir(&self, id: u64, dir: &Path) -> Result<(), ServiceError> {
         let snap_path = dir.join("campaign.json");
-        let bak_path = dir.join("campaign.json.bak");
         // A directory with neither a snapshot nor a backup is the
-        // debris of a submission that died before its first checkpoint:
-        // nothing ran, nothing durable was promised, skip it.
-        if !snap_path.exists() && !bak_path.exists() {
+        // debris of a submission that died before its initial snapshot
+        // landed: nothing ran, nothing durable was promised, skip it.
+        if !snap_path.exists() && !with_suffix(&snap_path, ".bak").exists() {
             return Ok(());
         }
-        sweep_stale_tmp(dir).map_err(|source| ServiceError::Io {
-            path: dir.to_owned(),
-            source,
-        })?;
-        let snap = match load_snapshot(&snap_path) {
-            Ok(snap) => snap,
-            Err(primary @ ServiceError::Corrupt { .. }) => {
-                // The primary snapshot is torn or missing. If the
-                // frozen preseed is intact and the previous checkpoint
-                // (`campaign.json.bak`) parses, resume from it: cell
-                // replay is deterministic, so restarting from an older
-                // checkpoint converges to the same final bytes. The
-                // recovered snapshot is promoted to the primary path
-                // immediately, so a second crash cannot regress.
-                match (read_preseed(dir), load_snapshot(&bak_path)) {
-                    (Ok(_), Ok(bak_snap)) => {
-                        write_snapshot(&bak_snap, &snap_path).map_err(|source| {
-                            ServiceError::Io {
-                                path: snap_path.clone(),
-                                source,
-                            }
-                        })?;
-                        bak_snap
-                    }
-                    _ => return Err(primary),
-                }
-            }
-            Err(e) => return Err(e),
-        };
+        // The frozen preseed loads first, so a backup is only ever
+        // promoted in a directory that can resume.
+        let preseed = read_preseed(dir)?;
+        let mut snap = load_snapshot(&snap_path, self.stats.on_retry())?;
         // Converge the reloaded snapshot's trace index before anything
         // reads it: a no-op on index-carrying snapshots, a one-time
         // heal (persisted at the next checkpoint) on pre-index ones.
-        let mut snap = snap;
         snap.ensure_trace_index();
-        let preseed = read_preseed(dir)?;
         {
             let mut global = self.global.lock().expect("global poisoned");
             absorb_into_global(&mut global, &preseed, &snap);
         }
-        let export_path = dir.join("corpus.jsonl");
-        let mut exporter = match CorpusExporter::open(&export_path) {
-            Ok(exporter) => exporter,
-            // A corrupt export line is campaign-local damage: it
-            // quarantines this directory, not the whole replay.
-            Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
-                return Err(ServiceError::Corrupt {
-                    path: export_path,
-                    detail: e.to_string(),
-                })
-            }
-            Err(source) => {
-                return Err(ServiceError::Io {
-                    path: export_path,
-                    source,
-                })
-            }
-        };
-        // Heal a kill between the snapshot write and the export
-        // append right away, instead of waiting for the next cell.
-        exporter.sync(&snap).map_err(|source| ServiceError::Io {
-            path: export_path,
-            source,
-        })?;
-        // A durable failure marker means a cell of this campaign
-        // panicked in a previous life: show the failure, never re-run
-        // the panicking cell.
-        let failed = match std::fs::read_to_string(dir.join("failed.txt")) {
-            Ok(text) => Some(text.trim_end().to_owned()),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
-            Err(source) => {
-                return Err(ServiceError::Io {
-                    path: dir.join("failed.txt"),
-                    source,
-                })
-            }
-        };
+        let export = dir.join("corpus.jsonl");
+        let campaign = CampaignDir::open(dir, Some(&export), &snap, self.stats.on_retry())?;
         let mut job = Job {
-            dir: dir.to_owned(),
+            // A cell that panicked in a previous life is never re-run.
+            failed: campaign.failure()?,
+            dir: campaign,
             snap,
-            exporter,
             error: None,
-            failed,
             row: None,
         };
         // A kill between the last checkpoint and the summary write
@@ -658,11 +572,11 @@ impl CampaignService {
     }
 
     /// Submits a new campaign: validates the options, freezes the
-    /// preseed, lands the campaign directory (preseed, initial
-    /// snapshot, empty export), and enqueues the chains. Returns the
-    /// campaign id. The directory is durable before any cell runs, so
-    /// a daemon killed right after `submit` returns still resumes the
-    /// campaign on restart.
+    /// preseed, lands the campaign directory (the preseed, then
+    /// [`CampaignDir::create`]: empty export, initial snapshot), and
+    /// enqueues the chains. Returns the campaign id. The directory is
+    /// durable before any cell runs, so a daemon killed right after
+    /// `submit` returns still resumes the campaign on restart.
     ///
     /// # Errors
     ///
@@ -709,20 +623,11 @@ impl CampaignService {
             source,
         })?;
         let snap = CampaignSnapshot::new(spec);
-        let snap_path = dir.join("campaign.json");
-        write_snapshot(&snap, &snap_path).map_err(|source| ServiceError::Io {
-            path: snap_path,
-            source,
-        })?;
-        let export_path = dir.join("corpus.jsonl");
-        let exporter = CorpusExporter::create(&export_path).map_err(|source| ServiceError::Io {
-            path: export_path,
-            source,
-        })?;
+        let export = dir.join("corpus.jsonl");
+        let campaign = CampaignDir::create(&dir, Some(&export), &snap, self.stats.on_retry())?;
         let job = Arc::new(Mutex::new(Job {
-            dir,
+            dir: campaign,
             snap,
-            exporter,
             error: None,
             failed: None,
             row: None,
@@ -913,32 +818,6 @@ fn absorb_into_global(
                 .absorb(outcome);
         }
     }
-}
-
-/// Loads and parses one snapshot file. A missing file maps to
-/// `Corrupt` rather than `Io`: at the call sites (primary and backup
-/// snapshot paths) "not there" means the campaign's durable state is
-/// unusable, which is the quarantine class, not the abort class.
-fn load_snapshot(path: &Path) -> Result<CampaignSnapshot, ServiceError> {
-    let text = match std::fs::read_to_string(path) {
-        Ok(text) => text,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-            return Err(ServiceError::Corrupt {
-                path: path.to_owned(),
-                detail: "missing snapshot".to_owned(),
-            })
-        }
-        Err(source) => {
-            return Err(ServiceError::Io {
-                path: path.to_owned(),
-                source,
-            })
-        }
-    };
-    CampaignSnapshot::from_json(&text).map_err(|e| ServiceError::Corrupt {
-        path: path.to_owned(),
-        detail: e.to_string(),
-    })
 }
 
 /// Loads a campaign's frozen preseed; a missing file is an empty
@@ -1251,11 +1130,11 @@ mod tests {
         let dir = tmp_root("degraded");
         std::fs::create_dir_all(&dir).unwrap();
         let snap = CampaignSnapshot::new(build_spec(&docstore_opts(1)).unwrap());
-        let exporter = CorpusExporter::create(&dir.join("corpus.jsonl")).unwrap();
+        let campaign =
+            CampaignDir::create(&dir, Some(&dir.join("corpus.jsonl")), &snap, |_| ()).unwrap();
         let mut job = Job {
-            dir: dir.clone(),
+            dir: campaign,
             snap,
-            exporter,
             error: None,
             failed: None,
             row: None,
@@ -1264,6 +1143,7 @@ mod tests {
         // Block the snapshot path with non-empty directories: the
         // backup rename cannot land, the checkpoint fails, the job
         // degrades — but its in-memory state still answers queries.
+        std::fs::remove_file(dir.join("campaign.json")).unwrap();
         std::fs::create_dir_all(dir.join("campaign.json").join("occupied")).unwrap();
         std::fs::create_dir_all(dir.join("campaign.json.bak").join("occupied")).unwrap();
         job.checkpoint(&stats);

@@ -686,3 +686,186 @@ fn no_args_exits_with_usage() {
     let out = cli().output().unwrap();
     assert_eq!(out.status.code(), Some(2));
 }
+
+#[test]
+fn campaign_resume_syncs_the_export_before_the_first_cell() {
+    // A kill after checkpoint 1's snapshot rename, before its export
+    // append: the snapshot holds cells 0 and 1, the export only cell 0's
+    // records. The resume must append cell 1's records before cell 2
+    // runs, so the export and its sidecar converge byte for byte, not
+    // just as a record set.
+    let args = |out: &std::path::Path| {
+        let export = out.join("corpus.jsonl");
+        [
+            "campaign",
+            "--targets",
+            "coreutils",
+            "--strategies",
+            "fitness",
+            "--seeds",
+            "3",
+            "--iterations",
+            "40",
+            "--workers",
+            "1",
+            "--export",
+            export.to_str().unwrap(),
+            "--out",
+            out.to_str().unwrap(),
+        ]
+        .map(str::to_owned)
+    };
+    let full = scratch("campaign-export-lag-full");
+    let run = cli().args(args(&full)).output().unwrap();
+    assert!(run.status.success(), "{run:?}");
+
+    let cut = scratch("campaign-export-lag-cut");
+    let mut snap: afex::core::CampaignSnapshot =
+        serde_json::from_str(&std::fs::read_to_string(full.join("campaign.json")).unwrap())
+            .unwrap();
+    for state in &mut snap.cells[2..] {
+        state.outcome = None;
+    }
+    snap.rebuild_store();
+    std::fs::write(cut.join("campaign.json"), snap.to_json() + "\n").unwrap();
+    let lines: Vec<String> = std::fs::read_to_string(full.join("corpus.jsonl"))
+        .unwrap()
+        .lines()
+        .map(|l| l.to_owned() + "\n")
+        .collect();
+    let keep: Vec<&String> = lines
+        .iter()
+        .filter(|l| {
+            let rec: serde_json::Value = serde_json::from_str(l).unwrap();
+            rec["record"]["cell"].as_u64().unwrap() < 1
+        })
+        .collect();
+    assert!(
+        !keep.is_empty() && keep.len() < snap.store.len(),
+        "weak parameters"
+    );
+    std::fs::write(
+        cut.join("corpus.jsonl"),
+        keep.into_iter().cloned().collect::<String>(),
+    )
+    .unwrap();
+
+    let resumed = cli()
+        .args(["campaign", "--resume", "--workers", "1", "--export"])
+        .arg(cut.join("corpus.jsonl"))
+        .arg("--out")
+        .arg(&cut)
+        .output()
+        .unwrap();
+    assert!(resumed.status.success(), "{resumed:?}");
+    for file in ["campaign.json", "corpus.jsonl", "corpus.jsonl.idx"] {
+        assert!(
+            std::fs::read(cut.join(file)).unwrap() == std::fs::read(full.join(file)).unwrap(),
+            "{file} must be byte-identical after the resume"
+        );
+    }
+}
+
+#[test]
+fn campaign_lands_its_snapshot_before_the_first_cell() {
+    // The only cell panics, so no checkpoint ever runs: the snapshot
+    // written when the directory was created is what a later
+    // `--resume` starts from.
+    let out = scratch("campaign-initial-snapshot");
+    let run = cli()
+        .env("AFEX_TEST_POISON", "1")
+        .args([
+            "campaign",
+            "--targets",
+            "test:poison",
+            "--strategies",
+            "fitness",
+            "--seeds",
+            "1",
+            "--iterations",
+            "20",
+            "--workers",
+            "1",
+            "--out",
+        ])
+        .arg(&out)
+        .output()
+        .unwrap();
+    assert!(!run.status.success(), "{run:?}");
+    let snap: afex::core::CampaignSnapshot =
+        serde_json::from_str(&std::fs::read_to_string(out.join("campaign.json")).unwrap())
+            .expect("snapshot parses");
+    assert_eq!((snap.done_count(), snap.cells.len()), (0, 1));
+}
+
+#[test]
+fn campaign_resume_falls_back_to_the_backup_checkpoint() {
+    let full = scratch("campaign-bak-full");
+    let run = cli().args(campaign_args(&full)).output().unwrap();
+    assert!(run.status.success(), "{run:?}");
+    let full_bytes = std::fs::read(full.join("campaign.json")).unwrap();
+    assert!(full.join("campaign.json.bak").exists());
+
+    // A torn primary, and a missing one (a kill between the backup
+    // rename and the final rename), each resume from the backup to the
+    // uninterrupted run's bytes.
+    for (tag, torn) in [("torn", true), ("missing", false)] {
+        let cut = scratch(&format!("campaign-bak-{tag}"));
+        for entry in std::fs::read_dir(&full).unwrap() {
+            let entry = entry.unwrap();
+            std::fs::copy(entry.path(), cut.join(entry.file_name())).unwrap();
+        }
+        if torn {
+            std::fs::write(cut.join("campaign.json"), "{torn mid-write").unwrap();
+        } else {
+            std::fs::remove_file(cut.join("campaign.json")).unwrap();
+        }
+        let resumed = cli()
+            .args(["campaign", "--resume", "--out", cut.to_str().unwrap()])
+            .output()
+            .unwrap();
+        assert!(resumed.status.success(), "{tag}: {resumed:?}");
+        assert!(
+            std::fs::read(cut.join("campaign.json")).unwrap() == full_bytes,
+            "{tag}: the backup resume must be byte-identical"
+        );
+    }
+
+    // A second, different campaign into the same directory clears the
+    // first one's backup and summary before its first cell: torn before
+    // its first checkpoint, it must not resume the first campaign.
+    let run = cli()
+        .env("AFEX_TEST_POISON", "1")
+        .args([
+            "campaign",
+            "--targets",
+            "test:poison",
+            "--strategies",
+            "fitness",
+            "--iterations",
+            "20",
+            "--workers",
+            "1",
+            "--out",
+        ])
+        .arg(&full)
+        .output()
+        .unwrap();
+    assert!(!run.status.success(), "{run:?}");
+    for stale in ["campaign.json.bak", "summary.json"] {
+        assert!(
+            !full.join(stale).exists(),
+            "the first campaign's {stale} survived"
+        );
+    }
+    let snap: afex::core::CampaignSnapshot =
+        serde_json::from_str(&std::fs::read_to_string(full.join("campaign.json")).unwrap())
+            .expect("snapshot parses");
+    assert_eq!(snap.spec.targets, ["test:poison"]);
+    std::fs::write(full.join("campaign.json"), "{torn mid-write").unwrap();
+    let resumed = cli()
+        .args(["campaign", "--resume", "--out", full.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert_eq!(resumed.status.code(), Some(2), "{resumed:?}");
+}
