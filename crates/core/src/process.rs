@@ -523,36 +523,54 @@ mod tests {
         ProcessPlan::bare("/bin/sh", vec!["-c".into(), script.into()])
     }
 
-    fn runner(timeout_ms: u64) -> ProcessRunner {
-        ProcessRunner::with_root(
-            Duration::from_millis(timeout_ms),
-            std::env::temp_dir().join(format!(
+    /// A sandbox root of a test's own, removed when dropped — unless the
+    /// test is panicking, so a failing test keeps its files.
+    struct ScratchDir(PathBuf);
+
+    impl ScratchDir {
+        fn new() -> ScratchDir {
+            ScratchDir(std::env::temp_dir().join(format!(
                 "afex-proc-tests-{}-{}",
                 std::process::id(),
                 COUNTER.fetch_add(1, Ordering::Relaxed)
-            )),
-        )
+            )))
+        }
+    }
+
+    impl Drop for ScratchDir {
+        fn drop(&mut self) {
+            if !thread::panicking() {
+                let _ = fs::remove_dir_all(&self.0);
+            }
+        }
+    }
+
+    /// A runner under a fresh root, and the guard that removes the root.
+    fn runner(timeout_ms: u64) -> (ProcessRunner, ScratchDir) {
+        let root = ScratchDir::new();
+        let runner = ProcessRunner::with_root(Duration::from_millis(timeout_ms), root.0.clone());
+        (runner, root)
     }
 
     static COUNTER: AtomicU64 = AtomicU64::new(0);
 
     #[test]
     fn exit_codes_classify() {
-        let r = runner(5000);
+        let (r, _root) = runner(5000);
         assert_eq!(r.run(0, &sh("exit 0")).unwrap().status, TestStatus::Passed);
         assert_eq!(r.run(0, &sh("exit 3")).unwrap().status, TestStatus::Failed);
     }
 
     #[test]
     fn fatal_signals_classify_as_crashes() {
-        let r = runner(5000);
+        let (r, _root) = runner(5000);
         let status = r.run(0, &sh("kill -SEGV $$")).unwrap().status;
         assert_eq!(status, TestStatus::Crashed("SIGSEGV".into()));
     }
 
     #[test]
     fn watchdog_classifies_hangs_within_budget() {
-        let r = runner(200);
+        let (r, _root) = runner(200);
         let start = Instant::now();
         let outcome = r.run(7, &sh("sleep 30")).unwrap();
         assert_eq!(outcome.status, TestStatus::Hung);
@@ -566,7 +584,7 @@ mod tests {
 
     #[test]
     fn sigterm_resistant_hangs_still_die() {
-        let r = runner(200);
+        let (r, _root) = runner(200);
         let start = Instant::now();
         let outcome = r.run(0, &sh("trap '' TERM; sleep 30")).unwrap();
         assert_eq!(outcome.status, TestStatus::Hung);
@@ -607,7 +625,7 @@ mod tests {
 
     #[test]
     fn watchdog_contract_holds_on_both_wait_paths() {
-        let r = runner(200);
+        let (r, _root) = runner(200);
         let cases = [
             ("exit 0", TestStatus::Passed),
             ("exit 3", TestStatus::Failed),
@@ -628,7 +646,7 @@ mod tests {
         // Each run's child exits in a millisecond or two. A watchdog that
         // sleeps between checks would spend a whole WATCH_POLL on every
         // run; one that waits on the exit itself must beat that total.
-        let r = runner(5000);
+        let (r, _root) = runner(5000);
         let plan = sh("exit 0");
         let best = (0..3)
             .map(|_| {
@@ -662,7 +680,7 @@ mod tests {
     fn reused_pid_gets_a_fresh_sandbox() {
         // A dead process with this process's pid left sandboxes behind,
         // each holding the shim log of an injection that fired.
-        let r = runner(5000);
+        let (r, _root) = runner(5000);
         let stale_log = "malloc\t1\t12\tvictim+0x10>malloc\n";
         let plant = |seq: u64| {
             let name = format!("afex-sbx-{}-{seq}", std::process::id());
@@ -687,12 +705,11 @@ mod tests {
         let outcome = r.run(0, &sh("exit 0")).unwrap();
         assert_eq!(outcome.status, TestStatus::Passed);
         assert!(outcome.injections.is_empty(), "{:?}", outcome.injections);
-        let _ = fs::remove_dir_all(r.root());
     }
 
     #[test]
     fn sandboxes_are_removed_after_each_run() {
-        let r = runner(5000);
+        let (r, _root) = runner(5000);
         // The child writes into its cwd — the sandbox — and teardown
         // removes it all.
         r.run(0, &sh("echo data > file.txt")).unwrap();
@@ -729,7 +746,7 @@ mod tests {
 
     #[test]
     fn missing_binary_is_an_executor_error() {
-        let r = runner(5000);
+        let (r, _root) = runner(5000);
         let plan = ProcessPlan::bare("/no/such/binary", vec![]);
         let err = r.run(0, &plan).unwrap_err();
         assert!(err.contains("/no/such/binary"), "{err}");
@@ -741,16 +758,12 @@ mod tests {
         // in one process). Each test touches a file in its sandbox, then
         // meets the other test outside the sandboxes before it checks:
         // the other test's file must not be visible.
-        let root = std::env::temp_dir().join(format!(
-            "afex-proc-tests-{}-{}",
-            std::process::id(),
-            COUNTER.fetch_add(1, Ordering::Relaxed)
-        ));
-        let meet = root.join("meet");
+        let root = ScratchDir::new();
+        let meet = root.0.join("meet");
         fs::create_dir_all(&meet).unwrap();
         let runners = [
-            ProcessRunner::with_root(Duration::from_secs(5), root.clone()),
-            ProcessRunner::with_root(Duration::from_secs(5), root.clone()),
+            ProcessRunner::with_root(Duration::from_secs(5), root.0.clone()),
+            ProcessRunner::with_root(Duration::from_secs(5), root.0.clone()),
         ];
         let statuses = thread::scope(|scope| {
             let tests = [(0, "a", "b"), (1, "b", "a")].map(|(i, mine, other)| {
@@ -766,14 +779,14 @@ mod tests {
             tests.map(|t| t.join().unwrap())
         });
         assert_eq!(statuses, [TestStatus::Passed, TestStatus::Passed]);
-        let _ = fs::remove_dir_all(&root);
     }
 
     #[test]
     fn engine_runs_process_candidates_in_a_window() {
+        let (r, _root) = runner(5000);
         let eval = ProcessEvaluator::new(
             |p: &Point| (p[0], sh(if p[0] == 0 { "exit 0" } else { "exit 1" })),
-            runner(5000),
+            r,
             ImpactMetric::default(),
         );
         let mut ex =
@@ -785,9 +798,10 @@ mod tests {
 
     #[test]
     fn executor_failure_ends_the_session() {
+        let (r, _root) = runner(5000);
         let eval = ProcessEvaluator::new(
             |_: &Point| (0, ProcessPlan::bare("/no/such/binary", vec![])),
-            runner(5000),
+            r,
             ImpactMetric::default(),
         );
         let err = eval.try_evaluate(&Point::new(vec![0])).unwrap_err();
@@ -800,9 +814,10 @@ mod tests {
 
     #[test]
     fn degraded_evaluator_scores_zero_on_executor_failure() {
+        let (r, _root) = runner(5000);
         let eval = ProcessEvaluator::new(
             |_: &Point| (0, ProcessPlan::bare("/no/such/binary", vec![])),
-            runner(5000),
+            r,
             ImpactMetric::default(),
         );
         assert_eq!(eval.evaluate(&Point::new(vec![0])), Evaluation::zero());

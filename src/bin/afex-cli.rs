@@ -34,29 +34,34 @@
 //! `shutdown` request) drain gracefully: in-flight cells finish and
 //! checkpoint, queued cells stay pending in their snapshots, exit 0.
 //!
-//! Simulated targets: `coreutils`, `minidb` (alias `mysql`), `httpd`
-//! (alias `apache`), `docstore-0.8`, `docstore-2.0`. Real-process
-//! targets (live binaries under the `LD_PRELOAD` shim, sandboxed with a
-//! `--timeout` watchdog): `proc:victim-read-file`, `proc:victim-alloc`,
-//! `proc:victim-alloc-unchecked`, `proc:victim-spin`. Crash-recovery
-//! targets (rule-driven VFS faults + crash + fault-free reopen, checked
-//! by the durability oracle): `vfs:minidb-recovery`, `vfs:minidb-rewrite`
-//! (the retained whole-log-rewrite bug specimen), `vfs:docstore-recovery`.
+//! Every command resolves its target names once through the library's
+//! target registry ([`ResolvedTarget`], one row per target) and branches
+//! on the family it returns. Simulated targets: `coreutils`, `minidb` (alias
+//! `mysql`), `httpd` (alias `apache`), `docstore-0.8`, `docstore-2.0`.
+//! Real-process targets (live binaries under the `LD_PRELOAD` shim,
+//! sandboxed with a `--timeout` watchdog): `proc:victim-read-file`,
+//! `proc:victim-alloc`, `proc:victim-alloc-unchecked`, `proc:victim-spin`.
+//! Crash-recovery targets (rule-driven VFS faults + crash + fault-free
+//! reopen, checked by the durability oracle): `vfs:minidb-recovery`,
+//! `vfs:minidb-rewrite` (the retained whole-log-rewrite bug specimen),
+//! `vfs:docstore-recovery`. `describe` and `render` serve simulated and
+//! crash-recovery targets, `explore` simulated ones; `hunt` and
+//! `campaign` run every family.
 
 use afex::campaign::{
-    build_spec, known_target, load_resume_snapshot, run_campaign, run_hunt, CorpusReader, HuntSpec,
-    SpecOptions, RESUME_LOCKED_FLAGS,
+    build_spec, load_resume_snapshot, run_campaign, run_hunt, CorpusReader, HuntSpec,
+    ResolvedTarget, SpecOptions, RESUME_LOCKED_FLAGS,
 };
 use afex::core::campaign::{CampaignSnapshot, CampaignSpec};
 use afex::core::process::wait_readable;
 use afex::core::{
-    ExplorerConfig, FaultReport, ImpactMetric, OutcomeEvaluator, SearchStrategy, Session,
-    StopCondition, TestTimeout,
+    ExplorerConfig, FaultReport, ImpactMetric, SearchStrategy, StopCondition, TestTimeout,
+    TraceStore,
 };
 use afex::protocol::{self, Request, Response};
 use afex::service::{CampaignRow, CampaignService};
 use afex::space::Point;
-use afex::targets::spaces::TargetSpace;
+use afex::targets::recovery::RecoverySpace;
 use std::collections::HashMap;
 use std::os::fd::AsRawFd;
 use std::path::Path;
@@ -118,32 +123,37 @@ fn parse_args(args: &[String]) -> HashMap<String, String> {
     out
 }
 
-/// Resolves a *simulated* target for the commands that need one
-/// (`describe`, `render`, `explore`): a proc target gets an instructive
-/// exit 2 pointing at the commands that can actually run a live binary,
-/// instead of the generic unknown-target message.
-fn target_space(name: &str) -> TargetSpace {
-    afex::campaign::target_space(name).unwrap_or_else(|| {
-        if afex::campaign::is_proc_target(name) {
-            eprintln!(
-                "`{name}` is a real-process target: it has no simulated plan to describe or \
-                 replay, only a live binary to run. Use `hunt --target {name}` or \
-                 `campaign --targets {name}`."
-            );
-            std::process::exit(2);
-        }
-        if afex::campaign::is_vfs_target(name) {
-            eprintln!(
-                "`{name}` is a crash-recovery target: each test is a whole \
-                 workload + crash + reopen cycle through the durability oracle, not a \
-                 single-test fault plan. Use `hunt --target {name}`, \
-                 `campaign --targets {name}`, or `describe`/`render` for its fault space."
-            );
-            std::process::exit(2);
-        }
-        eprintln!("unknown target `{name}`");
+/// Resolves `--target`, exiting 2 with the usage text on an unknown name.
+fn resolve(name: &str) -> ResolvedTarget {
+    ResolvedTarget::resolve(name).unwrap_or_else(|e| {
+        eprintln!("{e}");
         usage()
     })
+}
+
+/// Exits 2 for a target that `describe`, `render` or `explore` does not
+/// serve: a live binary or a crash-recovery target gets an instructive
+/// message pointing at the commands that can run it; the poison probe,
+/// which has no fault space to show, reads as unknown.
+fn refuse(name: &str, target: ResolvedTarget) -> ! {
+    match target {
+        ResolvedTarget::Proc(_) => eprintln!(
+            "`{name}` is a real-process target: it has no simulated plan to describe or \
+             replay, only a live binary to run. Use `hunt --target {name}` or \
+             `campaign --targets {name}`."
+        ),
+        ResolvedTarget::Vfs(_) => eprintln!(
+            "`{name}` is a crash-recovery target: each test is a whole \
+             workload + crash + reopen cycle through the durability oracle, not a \
+             single-test fault plan. Use `hunt --target {name}`, \
+             `campaign --targets {name}`, or `describe`/`render` for its fault space."
+        ),
+        _ => {
+            eprintln!("unknown target `{name}`");
+            usage()
+        }
+    }
+    std::process::exit(2);
 }
 
 /// Parses `--timeout` (the per-test watchdog budget for real-process
@@ -171,22 +181,25 @@ fn cmd_describe(opts: &HashMap<String, String>) {
         .get("target")
         .map(String::as_str)
         .unwrap_or_else(|| usage());
-    if let Some(rs) = afex::campaign::vfs_target_space(name) {
-        println!("target: {}", rs.name());
-        println!("workloads: {}", afex::targets::recovery::NUM_WORKLOADS);
-        println!("oracle: workload under one fault rule -> crash -> fault-free reopen");
-        println!("fault space: {} points", rs.space().len());
-        for (i, axis) in rs.space().axes().iter().enumerate() {
-            println!("  axis {i}: {} ({} values)", axis.name(), axis.len());
+    let space = match resolve(name) {
+        ResolvedTarget::Simulated(suite) => {
+            let ts = suite.space();
+            println!("target: {}", ts.target().name());
+            println!("tests in suite: {}", ts.target().num_tests());
+            println!("declared blocks: {}", ts.target().total_blocks());
+            ts.space_arc()
         }
-        return;
-    }
-    let ts = target_space(name);
-    println!("target: {}", ts.target().name());
-    println!("tests in suite: {}", ts.target().num_tests());
-    println!("declared blocks: {}", ts.target().total_blocks());
-    println!("fault space: {} points", ts.space().len());
-    for (i, axis) in ts.space().axes().iter().enumerate() {
+        ResolvedTarget::Vfs(kind) => {
+            let rs = RecoverySpace::new(kind);
+            println!("target: {}", rs.name());
+            println!("workloads: {}", afex::targets::recovery::NUM_WORKLOADS);
+            println!("oracle: workload under one fault rule -> crash -> fault-free reopen");
+            rs.space_arc()
+        }
+        other => refuse(name, other),
+    };
+    println!("fault space: {} points", space.len());
+    for (i, axis) in space.axes().iter().enumerate() {
         println!("  axis {i}: {} ({} values)", axis.name(), axis.len());
     }
 }
@@ -206,36 +219,33 @@ fn cmd_render(opts: &HashMap<String, String>) {
         std::process::exit(2);
     };
     let p = Point::new(attrs);
-    if let Some(rs) = afex::campaign::vfs_target_space(name) {
-        match rs.space().check(&p) {
-            Ok(()) => {
-                let (test, rule) = rs.rule_for(&p);
-                println!("workload: {test}");
-                match rule {
-                    Some(r) => println!("rule:     {r}"),
-                    None => println!("rule:     none (bare workload)"),
-                }
-                println!("fig5:     {}", rs.space().render(&p));
-            }
-            Err(e) => {
-                eprintln!("point does not address the space: {e}");
-                std::process::exit(1);
-            }
+    let check = |space: &afex::space::FaultSpace| {
+        if let Err(e) = space.check(&p) {
+            eprintln!("point does not address the space: {e}");
+            std::process::exit(1);
         }
-        return;
-    }
-    let ts = target_space(name);
-    match ts.space().check(&p) {
-        Ok(()) => {
+    };
+    match resolve(name) {
+        ResolvedTarget::Simulated(suite) => {
+            let ts = suite.space();
+            check(ts.space());
             let (test, plan) = ts.plan_for(&p);
             println!("test id:  {test}");
             println!("scenario: {plan}");
             println!("fig5:     {}", ts.space().render(&p));
         }
-        Err(e) => {
-            eprintln!("point does not address the space: {e}");
-            std::process::exit(1);
+        ResolvedTarget::Vfs(kind) => {
+            let rs = RecoverySpace::new(kind);
+            check(rs.space());
+            let (test, rule) = rs.rule_for(&p);
+            println!("workload: {test}");
+            match rule {
+                Some(r) => println!("rule:     {r}"),
+                None => println!("rule:     none (bare workload)"),
+            }
+            println!("fig5:     {}", rs.space().render(&p));
         }
+        other => refuse(name, other),
     }
 }
 
@@ -244,7 +254,8 @@ fn cmd_explore(opts: &HashMap<String, String>) {
         .get("target")
         .map(String::as_str)
         .unwrap_or_else(|| usage());
-    let ts = target_space(name);
+    let target = resolve(name);
+    let ResolvedTarget::Simulated(_) = target else { refuse(name, target) };
     let iterations: usize = opts
         .get("iterations")
         .map(|s| s.parse().unwrap_or_else(|_| usage()))
@@ -271,10 +282,11 @@ fn cmd_explore(opts: &HashMap<String, String>) {
             usage()
         }
     };
-    let exec = target_space(name);
-    let eval = OutcomeEvaluator::new(move |p| exec.execute(p), m);
-    let result = Session::new(ts.space_arc(), strategy, seed)
-        .run(&eval, StopCondition::Iterations(iterations));
+    let explorer = |space| strategy.build(space, seed, TraceStore::new());
+    let stop = StopCondition::Iterations(iterations);
+    let (_, result) = target
+        .run_session(explorer, m, stop, 1, TestTimeout::default())
+        .expect("simulated targets need no artifacts");
     let report = FaultReport::from_session(&result, 4);
     if opts.contains_key("json") {
         println!("{}", report.to_json());
@@ -302,10 +314,8 @@ fn cmd_hunt(opts: &HashMap<String, String>) {
         .get("target")
         .map(String::as_str)
         .unwrap_or_else(|| usage());
-    if !known_target(name) {
-        eprintln!("unknown target `{name}`");
-        usage()
-    }
+    // An unknown name exits 2 before any other flag is looked at.
+    resolve(name);
     let iterations: usize = parse_num(opts, "iterations", 4_000);
     let seed: u64 = parse_num(opts, "seed", 7);
     let workers: usize = parse_num(opts, "workers", 4);

@@ -14,9 +14,12 @@
 //! the `afex-cli` binary and the [`CampaignService`](crate::service)
 //! daemon drive one shared code path.
 //!
-//! - [`mod@self`] — the target/strategy registry and per-cell execution
-//!   ([`run_cell`], [`run_windowed`], [`run_proc_windowed`],
-//!   [`chain_seeds`]).
+//! - [`target`] — the target registry: one row per target, resolved
+//!   once per entry point into a [`ResolvedTarget`] that owns every
+//!   per-family decision (canonical name, default metric, artifact
+//!   check, session runner).
+//! - [`mod@self`] — the strategy registry, spec canonicalization, and
+//!   per-cell execution ([`run_cell`], [`chain_seeds`]).
 //! - [`submit`] — building and validating campaign specs from untyped
 //!   options, and loading/validating resumable snapshots.
 //! - [`dir`] — a campaign directory's whole life (create, resume,
@@ -41,6 +44,7 @@ pub(crate) mod dir;
 pub mod query;
 pub mod run;
 pub mod submit;
+pub mod target;
 
 pub(crate) use dir::{load_snapshot, CampaignDir};
 pub use dir::{sweep_stale_tmp, write_snapshot};
@@ -53,138 +57,17 @@ pub use submit::{
     build_spec, load_resume_snapshot, validate_snapshot, validate_spec, ResumeError, SpecOptions,
     SubmitError, RESUME_LOCKED_FLAGS,
 };
+pub use target::{
+    default_metric, proc_target_space, run_proc_windowed, run_windowed, target_space,
+    ResolvedTarget, Suite,
+};
 
 use crate::core::campaign::{
     metric_from_name, strategy_from_name, CampaignCell, CampaignSnapshot, CampaignSpec,
     CellOutcome,
 };
-use crate::core::{
-    Engine, Evaluator, Explore, ImpactMetric, OutcomeEvaluator, ProcessEvaluator, ProcessRunner,
-    SearchStrategy, SessionResult, StopCondition, TraceStore,
-};
-use crate::preload::locate;
-use crate::targets::docstore::Version;
-use crate::targets::proc::{ProcTargetSpace, VictimMode};
-use crate::targets::recovery::{EngineKind, RecoverySpace};
-use crate::targets::spaces::TargetSpace;
-use afex_cluster::ParallelSession;
-use afex_space::{FaultSpace, PointCodec};
-use std::sync::Arc;
-use std::time::Duration;
-
-/// The canonical campaign-runnable target names.
-pub const TARGETS: [&str; 5] = [
-    "coreutils",
-    "minidb",
-    "httpd",
-    "docstore-0.8",
-    "docstore-2.0",
-];
-
-/// The real-process target family: the bundled victim binary in each of
-/// its workload modes, executed live under the `LD_PRELOAD` shim by the
-/// sandboxed process runner.
-pub const PROC_TARGETS: [&str; 4] = [
-    "proc:victim-read-file",
-    "proc:victim-alloc",
-    "proc:victim-alloc-unchecked",
-    "proc:victim-spin",
-];
-
-/// The crash-recovery target family: rule-driven VFS fault injection
-/// (error returns, short writes, dropped fsyncs, torn renames) against a
-/// storage-engine workload, followed by a simulated power cut and a
-/// fault-free reopen whose recovered state is checked against the
-/// acknowledged history. `minidb-rewrite` keeps the historical
-/// whole-log-rewrite WAL commit as a bug specimen the oracle catches;
-/// the other two run the fixed engines.
-pub const VFS_TARGETS: [&str; 3] = [
-    "vfs:minidb-recovery",
-    "vfs:minidb-rewrite",
-    "vfs:docstore-recovery",
-];
-
-/// A test-only target whose cells panic mid-run — the chaos probe behind
-/// the panic-quarantine tests and the CI chaos smoke. Only recognized
-/// when `AFEX_TEST_POISON` is set in the environment, so production
-/// daemons can never be handed a deliberately panicking campaign.
-pub const POISON_TARGET: &str = "test:poison";
-
-/// The canonical spelling of a target name, if known. `mysql` and
-/// `apache` (the paper's names) are aliases of `minidb` and `httpd`
-/// (the stand-ins), matching `explore`. `proc:*` names are already
-/// canonical.
-pub fn canonical_target(name: &str) -> Option<&'static str> {
-    match name {
-        "coreutils" => Some("coreutils"),
-        "mysql" | "minidb" => Some("minidb"),
-        "apache" | "httpd" => Some("httpd"),
-        "docstore-0.8" => Some("docstore-0.8"),
-        "docstore-2.0" => Some("docstore-2.0"),
-        _ if name == POISON_TARGET && std::env::var_os("AFEX_TEST_POISON").is_some() => {
-            Some(POISON_TARGET)
-        }
-        _ => PROC_TARGETS
-            .iter()
-            .chain(VFS_TARGETS.iter())
-            .copied()
-            .find(|t| *t == name),
-    }
-}
-
-/// Whether a name denotes a real-process target (the `proc:*` family).
-pub fn is_proc_target(name: &str) -> bool {
-    PROC_TARGETS.contains(&name)
-}
-
-/// Whether a name denotes a crash-recovery target (the `vfs:*` family).
-pub fn is_vfs_target(name: &str) -> bool {
-    VFS_TARGETS.contains(&name)
-}
-
-/// Builds the fault space + oracle adapter for a `vfs:*` target. Unlike
-/// `proc:*` targets these need no on-disk artifacts — the faulty VFS and
-/// the engines are in-process.
-pub fn vfs_target_space(name: &str) -> Option<RecoverySpace> {
-    name.strip_prefix("vfs:")
-        .and_then(EngineKind::from_name)
-        .map(RecoverySpace::new)
-}
-
-/// Builds the fault space + process-plan adapter for a `proc:*` target,
-/// resolving the victim binary and the interposition cdylib at runtime.
-///
-/// # Errors
-///
-/// Returns an instructive message when the name is not a proc target or
-/// when an artifact is missing (how to build it, which variable
-/// overrides the search).
-pub fn proc_target_space(name: &str) -> Result<ProcTargetSpace, String> {
-    let mode = name
-        .strip_prefix("proc:victim-")
-        .and_then(VictimMode::from_name)
-        .ok_or_else(|| format!("unknown proc target `{name}`"))?;
-    let victim = locate::victim_path()?;
-    let shim = locate::shim_path()?;
-    Ok(ProcTargetSpace::victim(mode, victim, shim))
-}
-
-/// Checks that every `proc:*` target in the list can actually run: its
-/// victim binary and the shim cdylib must resolve. Campaign and hunt
-/// entry points call this up front so a missing artifact is a clear
-/// usage error instead of a panic deep inside a cell.
-///
-/// # Errors
-///
-/// Returns the first proc target's resolution error.
-pub fn check_target_artifacts(targets: &[String]) -> Result<(), String> {
-    for target in targets {
-        if is_proc_target(target) {
-            proc_target_space(target).map(|_| ())?;
-        }
-    }
-    Ok(())
-}
+use crate::core::{SearchStrategy, TraceStore};
+use afex_space::PointCodec;
 
 /// Canonicalizes a target list for a campaign spec: aliases collapse to
 /// their canonical names, and duplicates — including a target listed
@@ -195,15 +78,7 @@ pub fn check_target_artifacts(targets: &[String]) -> Result<(), String> {
 ///
 /// Returns a description of the first unknown or duplicated target.
 pub fn canonicalize_targets(names: &[String]) -> Result<Vec<String>, String> {
-    let mut out: Vec<String> = Vec::with_capacity(names.len());
-    for name in names {
-        let canon = canonical_target(name).ok_or_else(|| format!("unknown target `{name}`"))?;
-        if out.iter().any(|c| c == canon) {
-            return Err(format!("duplicate target `{canon}` (from `{name}`)"));
-        }
-        out.push(canon.to_owned());
-    }
-    Ok(out)
+    canonicalize(names, "target", |n| ResolvedTarget::resolve(n).ok().map(ResolvedTarget::name))
 }
 
 /// The canonical strategy names, in the order `strategy_from_name`
@@ -232,60 +107,26 @@ pub fn canonical_strategy(name: &str) -> Option<&'static str> {
 ///
 /// Returns a description of the first unknown or duplicated strategy.
 pub fn canonicalize_strategies(names: &[String]) -> Result<Vec<String>, String> {
+    canonicalize(names, "strategy", canonical_strategy)
+}
+
+/// The one canonicalizing loop behind [`canonicalize_targets`] and
+/// [`canonicalize_strategies`]: maps each name through `canonical`, and
+/// rejects an unknown name or a second spelling of one already listed.
+fn canonicalize(
+    names: &[String],
+    noun: &str,
+    canonical: impl Fn(&str) -> Option<&'static str>,
+) -> Result<Vec<String>, String> {
     let mut out: Vec<String> = Vec::with_capacity(names.len());
     for name in names {
-        let canon =
-            canonical_strategy(name).ok_or_else(|| format!("unknown strategy `{name}`"))?;
+        let canon = canonical(name).ok_or_else(|| format!("unknown {noun} `{name}`"))?;
         if out.iter().any(|c| c == canon) {
-            return Err(format!("duplicate strategy `{canon}` (from `{name}`)"));
+            return Err(format!("duplicate {noun} `{canon}` (from `{name}`)"));
         }
         out.push(canon.to_owned());
     }
     Ok(out)
-}
-
-/// Builds the fault space + execution adapter for a *simulated* target
-/// name, if known. Real-process (`proc:*`) targets resolve through
-/// [`proc_target_space`] instead, since they need on-disk artifacts.
-pub fn target_space(name: &str) -> Option<TargetSpace> {
-    match canonical_target(name)? {
-        "coreutils" => Some(TargetSpace::coreutils()),
-        "minidb" => Some(TargetSpace::mysql()),
-        "httpd" => Some(TargetSpace::apache()),
-        "docstore-0.8" => Some(TargetSpace::docstore(Version::V0_8)),
-        "docstore-2.0" => Some(TargetSpace::docstore(Version::V2_0)),
-        // The poison probe never resolves a space: its cells panic in
-        // `run_cell` before any space is needed.
-        "test:poison" => None,
-        name => {
-            debug_assert!(
-                is_proc_target(name) || is_vfs_target(name),
-                "canonical names are exhaustive"
-            );
-            None
-        }
-    }
-}
-
-/// Whether a name denotes a campaign-runnable target.
-pub fn known_target(name: &str) -> bool {
-    canonical_target(name).is_some()
-}
-
-/// The default impact metric for a target. The database stand-in runs
-/// the crash-hunt path (the §7.1 "find faults that crash the DBMS"
-/// scenario, as in `examples/hunt_minidb.rs`); real-process targets hunt
-/// crashes too, since a live binary has no simulated coverage signal;
-/// everything else uses the coverage-and-failure default.
-pub fn default_metric(target: &str) -> ImpactMetric {
-    match target {
-        "mysql" | "minidb" => ImpactMetric::crash_hunter(),
-        t if is_proc_target(t) => ImpactMetric::crash_hunter(),
-        // Recovery targets hunt durability violations, which the oracle
-        // reports as crashes.
-        t if is_vfs_target(t) => ImpactMetric::crash_hunter(),
-        _ => ImpactMetric::default(),
-    }
 }
 
 /// Ordered, deduplicated failure traces — the state a target's cell
@@ -428,10 +269,11 @@ pub fn chain_seeds_cached_into(
 /// (see [`metric_from_name`]; `None` uses the target's default) and the
 /// intra-cell fan-out width (`cell_workers`).
 ///
-/// Every strategy runs through the same [`Engine`]: with
+/// Every strategy runs through the same [`Engine`](crate::core::Engine): with
 /// `cell_workers == 1` the cell is the classic sequential session; with
 /// a wider window the cell's candidates execute batch-parallel on a
-/// [`ParallelSession`] manager pool, each manager owning its own copy of
+/// [`ParallelSession`](afex_cluster::ParallelSession) manager pool, each
+/// manager owning its own copy of
 /// a simulated or `vfs:*` target, or a handle on the cell's one
 /// sandboxed process runner for a `proc:*` target. Either way the
 /// engine completes results in issue order and checks the stop policy
@@ -452,14 +294,12 @@ pub fn chain_seeds_cached_into(
 /// Panics on an unknown target, strategy, or metric name — validate the
 /// spec with [`CampaignSpec::validate`] first.
 pub fn run_cell(cell: &CampaignCell, spec: &CampaignSpec, seeds: &TraceSeeds) -> CellOutcome {
-    if cell.target == POISON_TARGET {
-        panic!("poison target panicked mid-cell (AFEX_TEST_POISON)");
-    }
+    let target = ResolvedTarget::resolve(&cell.target).expect("validated target");
     let m = spec
         .metric
         .as_deref()
         .map(|n| metric_from_name(n).expect("validated metric"))
-        .unwrap_or_else(|| default_metric(&cell.target));
+        .unwrap_or_else(|| target.default_metric());
     // Campaign fitness cells always run the redundancy-feedback loop:
     // chained seeds need the loop on to bite, and a uniform setting
     // keeps every cell's outcome a function of the spec alone.
@@ -470,146 +310,25 @@ pub fn run_cell(cell: &CampaignCell, spec: &CampaignSpec, seeds: &TraceSeeds) ->
         }),
         other => other,
     };
-    // The CLI validates proc artifacts before any cell runs
-    // (`check_target_artifacts`), so resolution failure here is a caller
-    // bug, not a user error.
-    let (space, result) = run_target(
-        &cell.target,
-        |space| strategy.build(space, cell.seed, seeds.store().clone()),
-        m,
-        spec.stop.to_condition(spec.iterations),
-        spec.cell_workers.0,
-        spec.timeout.0,
-    )
-    .expect("validated targets with checked proc artifacts resolve");
+    // Validation checks proc artifacts before any cell runs
+    // (`validate_spec`, `validate_snapshot`), so a failure here is a
+    // caller bug, not a user error.
+    let explorer = |space| strategy.build(space, cell.seed, seeds.store().clone());
+    let stop = spec.stop.to_condition(spec.iterations);
+    let (space, result) = target
+        .run_session(explorer, m, stop, spec.cell_workers.0, spec.timeout)
+        .expect("validated targets with checked proc artifacts resolve");
     let codec =
         PointCodec::for_space(&space).expect("all campaign target spaces fit u64 point codes");
     CellOutcome::from_session(cell.index, &result, &codec)
-}
-
-/// Resolves `target` to its family and runs one session against it
-/// under `stop` with a `workers`-wide engine window: live binaries as
-/// sandboxed child processes (with `timeout` as the per-test watchdog
-/// budget), `vfs:*` targets through the crash-recovery oracle,
-/// simulated suites in-process. `explorer` builds the session's
-/// explorer over the resolved fault space, which is returned with the
-/// session. The one target dispatch behind [`run_cell`] and
-/// [`run_hunt`].
-///
-/// # Errors
-///
-/// Returns `unknown target` for a name no family resolves, or the
-/// artifact-resolution message for a `proc:*` target whose victim binary
-/// or shim cdylib is missing.
-fn run_target(
-    target: &str,
-    explorer: impl FnOnce(Arc<FaultSpace>) -> Box<dyn Explore>,
-    metric: ImpactMetric,
-    stop: StopCondition,
-    workers: usize,
-    timeout: Duration,
-) -> Result<(Arc<FaultSpace>, SessionResult), String> {
-    if is_proc_target(target) {
-        let ps = proc_target_space(target)?;
-        let mut explorer = explorer(ps.space_arc());
-        let result = run_proc_windowed(&ps, metric, explorer.as_mut(), stop, workers, timeout);
-        return Ok((ps.space_arc(), result));
-    }
-    if let Some(rs) = vfs_target_space(target) {
-        let space = rs.space_arc();
-        let mut explorer = explorer(Arc::clone(&space));
-        let make_eval = || {
-            let rs = rs.clone();
-            OutcomeEvaluator::new(move |p| rs.execute(p), metric.clone())
-        };
-        let result = windowed(make_eval, explorer.as_mut(), stop, workers);
-        return Ok((space, result));
-    }
-    let ts = target_space(target).ok_or_else(|| format!("unknown target `{target}`"))?;
-    let mut explorer = explorer(ts.space_arc());
-    let result = run_windowed(&ts, metric, explorer.as_mut(), stop, workers);
-    Ok((ts.space_arc(), result))
-}
-
-/// Runs a built explorer against a simulated target under `stop` with a
-/// `workers`-wide engine window: batch-parallel on a manager pool (one
-/// copy of the target and the metric per manager) when `workers > 1`,
-/// the sequential engine otherwise. Campaign cells and `afex-cli hunt`
-/// run simulated targets through it — deterministic in the window
-/// either way.
-///
-/// # Panics
-///
-/// Panics if `workers == 0`.
-pub fn run_windowed(
-    ts: &TargetSpace,
-    metric: ImpactMetric,
-    explorer: &mut dyn Explore,
-    stop: StopCondition,
-    workers: usize,
-) -> SessionResult {
-    let make_eval = || {
-        let ts = ts.clone();
-        OutcomeEvaluator::new(move |p| ts.execute(p), metric.clone())
-    };
-    windowed(make_eval, explorer, stop, workers)
-}
-
-/// [`run_windowed`]'s real-process sibling: runs a built explorer
-/// against a live binary, each test a sandboxed child under `timeout` as
-/// its watchdog budget, with `workers` tests in flight. Every manager
-/// holds a handle on one shared [`ProcessRunner`]. If a test cannot run
-/// — e.g. persistent spawn failure after the runner's transient-error
-/// retries — the session ends with the tests issued before it instead of
-/// panicking, the partial-session contract the engine gives every
-/// executor.
-///
-/// # Panics
-///
-/// Panics if `workers == 0`.
-pub fn run_proc_windowed(
-    ps: &ProcTargetSpace,
-    metric: ImpactMetric,
-    explorer: &mut dyn Explore,
-    stop: StopCondition,
-    workers: usize,
-    timeout: std::time::Duration,
-) -> SessionResult {
-    let plan_space = ps.clone();
-    let eval = ProcessEvaluator::new(
-        move |p| plan_space.plan_for(p),
-        ProcessRunner::new(timeout),
-        metric,
-    );
-    windowed(|| eval.clone(), explorer, stop, workers)
-}
-
-/// The one windowed session behind every target family: a
-/// [`ParallelSession`] of `workers` managers, each with its own
-/// `make_eval()` evaluator, when `workers > 1`; the sequential engine
-/// over one `make_eval()` otherwise.
-fn windowed<E, F>(
-    make_eval: F,
-    explorer: &mut dyn Explore,
-    stop: StopCondition,
-    workers: usize,
-) -> SessionResult
-where
-    E: Evaluator,
-    F: Fn() -> E + Sync,
-{
-    if workers > 1 {
-        ParallelSession::new(workers).run_with_stop(explorer, |_manager| make_eval(), stop)
-    } else {
-        assert!(workers > 0, "need at least one worker");
-        Engine::sequential().run(explorer, &make_eval(), stop)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::core::campaign::{CampaignSpec, StopPolicy};
+    use crate::core::ImpactMetric;
+    use crate::targets::recovery::RecoverySpace;
     use std::collections::HashSet;
 
     fn tiny_spec() -> CampaignSpec {
@@ -626,13 +345,107 @@ mod tests {
         }
     }
 
+    /// Every registry row but the poison probe, which resolves only when
+    /// `AFEX_TEST_POISON` is set (other tests in this process set it; the
+    /// panic-quarantine tests cover it).
+    fn rows() -> impl Iterator<Item = (&'static str, &'static [&'static str], ResolvedTarget)> {
+        target::REGISTRY.into_iter().filter(|row| row.2 != ResolvedTarget::Poison)
+    }
+
     #[test]
     fn known_targets_resolve_spaces() {
-        for t in TARGETS {
-            assert!(known_target(t), "{t}");
-            assert!(target_space(t).is_some(), "{t}");
+        for (name, aliases, target) in rows() {
+            assert_eq!(ResolvedTarget::resolve(name), Ok(target), "{name}");
+            assert_eq!(target.name(), name);
+            for alias in aliases {
+                assert_eq!(ResolvedTarget::resolve(alias), Ok(target), "{alias}");
+            }
+            assert_eq!(canonicalize_targets(&[name.into()]), Ok(vec![name.to_owned()]));
+            if let ResolvedTarget::Simulated(_) = target {
+                assert!(target_space(name).is_some(), "{name}");
+            }
         }
-        assert!(!known_target("nosuch"));
+        assert_eq!(ResolvedTarget::resolve("mysql").map(ResolvedTarget::name), Ok("minidb"));
+        assert_eq!(ResolvedTarget::resolve("apache").map(ResolvedTarget::name), Ok("httpd"));
+        let err = ResolvedTarget::resolve("nosuch").unwrap_err();
+        assert_eq!(err, "unknown target `nosuch`");
+        assert!(target_space("nosuch").is_none());
+    }
+
+    #[test]
+    fn minidb_defaults_to_the_hunt_metric() {
+        assert_eq!(default_metric("minidb"), ImpactMetric::crash_hunter());
+        assert_eq!(default_metric("coreutils"), ImpactMetric::default());
+        for (name, _, target) in rows() {
+            if let ResolvedTarget::Simulated(suite) = target {
+                let hunts_crashes = suite == Suite::MiniDb;
+                assert_eq!(default_metric(name) == ImpactMetric::crash_hunter(), hunts_crashes);
+            }
+        }
+        for unknown in ["nosuch", "proc:victim-nosuch", "vfs:nosuch", "proc:nosuch"] {
+            assert_eq!(default_metric(unknown), ImpactMetric::default(), "{unknown}");
+        }
+    }
+
+    #[test]
+    fn proc_targets_are_known_but_not_simulated() {
+        for (name, _, target) in rows() {
+            match target {
+                ResolvedTarget::Proc(mode) => {
+                    // Proc targets never resolve to a simulated space;
+                    // their space needs the on-disk victim and shim.
+                    assert!(target_space(name).is_none(), "{name}");
+                    assert_eq!(default_metric(name), ImpactMetric::crash_hunter());
+                    assert_eq!(name, format!("proc:victim-{}", mode.name()));
+                }
+                ResolvedTarget::Simulated(_) => {
+                    let err = proc_target_space(name).unwrap_err();
+                    assert_eq!(err, format!("unknown proc target `{name}`"));
+                }
+                ResolvedTarget::Vfs(_) | ResolvedTarget::Poison => {}
+            }
+        }
+        for unknown in ["proc:victim-nosuch", "proc:nosuch"] {
+            let err = ResolvedTarget::resolve(unknown).unwrap_err();
+            assert_eq!(err, format!("unknown target `{unknown}`"));
+            assert!(target_space(unknown).is_none(), "{unknown}");
+        }
+        let err = proc_target_space("proc:nosuch").unwrap_err();
+        assert!(err.contains("unknown proc target"), "{err}");
+    }
+
+    #[test]
+    fn vfs_targets_are_known_and_hunt_crashes() {
+        for (name, _, target) in rows() {
+            if let ResolvedTarget::Vfs(kind) = target {
+                // Recovery targets are neither simulated nor proc targets
+                // and need no on-disk artifacts.
+                assert!(target_space(name).is_none(), "{name}");
+                assert_eq!(default_metric(name), ImpactMetric::crash_hunter());
+                assert_eq!(name, RecoverySpace::new(kind).name());
+                target.check_artifacts().unwrap();
+                assert!(proc_target_space(name).is_err(), "{name}");
+            }
+        }
+        let err = ResolvedTarget::resolve("vfs:nosuch").unwrap_err();
+        assert_eq!(err, "unknown target `vfs:nosuch`");
+        assert!(target_space("vfs:nosuch").is_none());
+    }
+
+    #[test]
+    fn proc_targets_canonicalize_alongside_simulated_ones() {
+        let ok = canonicalize_targets(&["mysql".into(), "proc:victim-alloc-unchecked".into()])
+            .unwrap();
+        assert_eq!(ok, vec!["minidb", "proc:victim-alloc-unchecked"]);
+        let dup = canonicalize_targets(&["proc:victim-spin".into(), "proc:victim-spin".into()])
+            .unwrap_err();
+        assert!(dup.contains("duplicate target"), "{dup}");
+        // Artifact checks skip simulated targets entirely.
+        for (name, _, target) in rows() {
+            if let ResolvedTarget::Simulated(_) = target {
+                target.check_artifacts().unwrap_or_else(|e| panic!("{name}: {e}"));
+            }
+        }
     }
 
     #[test]
@@ -646,50 +459,6 @@ mod tests {
         assert!(dup.contains("duplicate target `minidb`"), "{dup}");
         let unknown = canonicalize_targets(&["nosuch".into()]).unwrap_err();
         assert!(unknown.contains("unknown target `nosuch`"), "{unknown}");
-    }
-
-    #[test]
-    fn minidb_defaults_to_the_hunt_metric() {
-        assert_eq!(default_metric("minidb"), ImpactMetric::crash_hunter());
-        assert_eq!(default_metric("coreutils"), ImpactMetric::default());
-    }
-
-    #[test]
-    fn proc_targets_are_known_but_not_simulated() {
-        for t in PROC_TARGETS {
-            assert!(known_target(t), "{t}");
-            assert!(is_proc_target(t), "{t}");
-            assert_eq!(canonical_target(t), Some(t));
-            // Proc targets never resolve to a simulated space; they go
-            // through `proc_target_space`, which needs the on-disk
-            // victim and shim artifacts.
-            assert!(target_space(t).is_none(), "{t}");
-            assert_eq!(default_metric(t), ImpactMetric::crash_hunter());
-        }
-        assert!(!is_proc_target("coreutils"));
-        assert!(!is_proc_target("proc:victim-nosuch"));
-        assert!(canonical_target("proc:victim-nosuch").is_none());
-        let err = proc_target_space("proc:nosuch").unwrap_err();
-        assert!(err.contains("unknown proc target"), "{err}");
-    }
-
-    #[test]
-    fn vfs_targets_are_known_and_hunt_crashes() {
-        for t in VFS_TARGETS {
-            assert!(known_target(t), "{t}");
-            assert!(is_vfs_target(t), "{t}");
-            assert_eq!(canonical_target(t), Some(t));
-            // Recovery targets are neither simulated-suite nor proc
-            // targets; they resolve through `vfs_target_space` and need
-            // no on-disk artifacts.
-            assert!(target_space(t).is_none(), "{t}");
-            assert!(!is_proc_target(t), "{t}");
-            assert!(vfs_target_space(t).is_some(), "{t}");
-            assert_eq!(default_metric(t), ImpactMetric::crash_hunter());
-        }
-        assert!(vfs_target_space("vfs:nosuch").is_none());
-        assert!(canonical_target("vfs:nosuch").is_none());
-        check_target_artifacts(&["vfs:minidb-recovery".into()]).unwrap();
     }
 
     #[test]
@@ -710,24 +479,6 @@ mod tests {
         let b = run_cell(&cell, &spec, &TraceSeeds::new());
         assert_eq!(a, b, "vfs cells must be deterministic");
         assert_eq!(a.tests, 40);
-    }
-
-    #[test]
-    fn proc_targets_canonicalize_alongside_simulated_ones() {
-        let ok = canonicalize_targets(&[
-            "mysql".into(),
-            "proc:victim-alloc-unchecked".into(),
-        ])
-        .unwrap();
-        assert_eq!(ok, vec!["minidb", "proc:victim-alloc-unchecked"]);
-        let dup = canonicalize_targets(&[
-            "proc:victim-spin".into(),
-            "proc:victim-spin".into(),
-        ])
-        .unwrap_err();
-        assert!(dup.contains("duplicate target"), "{dup}");
-        // Artifact checks skip simulated targets entirely.
-        check_target_artifacts(&["coreutils".into(), "minidb".into()]).unwrap();
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! nothing here prints or exits.
 
 use super::dir::with_suffix;
-use super::{chain_seeds_cached_into, run_cell, run_target, CampaignDir, TraceSeeds};
+use super::{chain_seeds_cached_into, run_cell, CampaignDir, ResolvedTarget, TraceSeeds};
 use crate::core::campaign::{
     CampaignCell, CampaignReport, CampaignSnapshot, CampaignSpec, CellOutcome, ExportRecord,
     TestTimeout,
@@ -326,9 +326,8 @@ pub struct HuntSpec {
 /// condition at every head-of-line completion, so the pool halts at the
 /// Nth crash (plus the in-flight window draining) instead of running
 /// the iteration cap out. Deterministic for a fixed `workers` count.
-/// Dispatches on the target family exactly like [`run_cell`]: live
-/// binaries run as sandboxed child processes, `vfs:*` targets
-/// through the crash-recovery oracle, simulated suites in-process.
+/// Runs through the target's session runner exactly like [`run_cell`]
+/// ([`ResolvedTarget::run_session`]).
 ///
 /// # Errors
 ///
@@ -338,7 +337,8 @@ pub struct HuntSpec {
 ///
 /// # Panics
 ///
-/// Panics if `hunt.workers` is zero.
+/// Panics if `hunt.workers` is zero, and for the poison probe
+/// ([`ResolvedTarget::Poison`]), whose sessions always panic.
 pub fn run_hunt(hunt: &HuntSpec) -> Result<SessionResult, String> {
     let strategy = SearchStrategy::Fitness(ExplorerConfig {
         redundancy_feedback: hunt.feedback,
@@ -346,15 +346,10 @@ pub fn run_hunt(hunt: &HuntSpec) -> Result<SessionResult, String> {
     });
     // A missing victim or shim artifact is a usage error (how to build
     // it is in the message), caught before anything spawns.
-    run_target(
-        &hunt.target,
-        |space| strategy.build(space, hunt.seed, TraceStore::new()),
-        hunt.metric.clone(),
-        hunt.stop,
-        hunt.workers,
-        hunt.timeout.0,
-    )
-    .map(|(_, result)| result)
+    let explorer = |space| strategy.build(space, hunt.seed, TraceStore::new());
+    let (_, result) = ResolvedTarget::resolve(&hunt.target)?
+        .run_session(explorer, hunt.metric.clone(), hunt.stop, hunt.workers, hunt.timeout)?;
+    Ok(result)
 }
 
 /// One fixed-width sidecar index line: the record's byte offset in the

@@ -8,7 +8,7 @@
 //! report identically without duplicating the logic.
 
 use super::dir::load_snapshot;
-use super::{canonicalize_strategies, canonicalize_targets, check_target_artifacts, known_target};
+use super::{canonicalize_strategies, canonicalize_targets, ResolvedTarget};
 use crate::core::campaign::{CampaignSnapshot, CampaignSpec, StopPolicy, TestTimeout};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -143,9 +143,13 @@ pub fn build_spec(opts: &SpecOptions) -> Result<CampaignSpec, SubmitError> {
 ///
 /// Returns the first problem as a [`SubmitError`].
 pub fn validate_spec(spec: &CampaignSpec) -> Result<(), SubmitError> {
-    spec.validate(known_target).map_err(SubmitError::Spec)?;
-    check_target_artifacts(&spec.targets).map_err(SubmitError::Artifacts)?;
-    Ok(())
+    spec.validate(|t| ResolvedTarget::resolve(t).is_ok()).map_err(SubmitError::Spec)?;
+    check_artifacts(&spec.targets).map_err(SubmitError::Artifacts)
+}
+
+/// [`ResolvedTarget::check_artifacts`] over a validated target list.
+fn check_artifacts(targets: &[String]) -> Result<(), String> {
+    targets.iter().try_for_each(|t| ResolvedTarget::resolve(t)?.check_artifacts())
 }
 
 /// The flags that cannot be combined with `--resume`: the snapshot's
@@ -204,7 +208,7 @@ impl std::error::Error for ResumeError {}
 /// Returns a description of the first problem (the `detail` half of a
 /// [`ResumeError`]; [`load_resume_snapshot`] adds the path).
 pub fn validate_snapshot(snap: &CampaignSnapshot) -> Result<(), String> {
-    snap.spec.validate(known_target)?;
+    snap.spec.validate(|t| ResolvedTarget::resolve(t).is_ok())?;
     match canonicalize_targets(&snap.spec.targets) {
         Ok(canon) if canon == snap.spec.targets => {}
         Ok(_) => return Err("snapshot targets are not in canonical form".to_owned()),
@@ -217,8 +221,7 @@ pub fn validate_snapshot(snap: &CampaignSnapshot) -> Result<(), String> {
     }
     snap.check_consistent()?;
     snap.check_chain_consistent()?;
-    check_target_artifacts(&snap.spec.targets)?;
-    Ok(())
+    check_artifacts(&snap.spec.targets)
 }
 
 /// Loads and validates a resumable snapshot from disk: [`load_snapshot`]

@@ -1,6 +1,8 @@
 //! Integration tests for the `afex-cli` binary.
 
-use std::path::PathBuf;
+mod common;
+
+use common::ScratchDir;
 use std::process::Command;
 
 fn cli() -> Command {
@@ -8,11 +10,8 @@ fn cli() -> Command {
 }
 
 /// A fresh per-test scratch directory under the system temp dir.
-fn scratch(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("afex-cli-test-{}-{name}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
+fn scratch(name: &str) -> ScratchDir {
+    ScratchDir::new(&format!("afex-cli-test-{}-{name}", std::process::id()))
 }
 
 /// The small campaign matrix the CLI tests run (2 targets × 2 strategies).
@@ -115,6 +114,49 @@ fn explore_json_output_parses() {
     let v: serde_json::Value = serde_json::from_slice(&out.stdout).expect("valid JSON report");
     assert_eq!(v["tests_executed"], 80);
     assert!(v["entries"].is_array());
+}
+
+/// `describe`, `render` and `explore` against one target of each family,
+/// an alias and an unknown name: each command's exit code and a key line
+/// (stdout on success, stderr otherwise). `describe` and `render` serve
+/// simulated and crash-recovery targets, `explore` only simulated ones;
+/// a refused family gets a hint naming the commands that run it.
+#[test]
+fn single_session_commands_serve_or_refuse_each_family() {
+    const PROC_HINT: &str = "hunt --target proc:victim-alloc";
+    let explore = |target| ["explore", "--target", target, "--iterations", "20", "--seed", "3"];
+    let cases: [(Vec<&str>, i32, &str); 15] = [
+        (vec!["describe", "--target", "coreutils"], 0, "target: coreutils"),
+        (vec!["describe", "--target", "mysql"], 0, "target: minidb"),
+        (vec!["describe", "--target", "vfs:minidb-rewrite"], 0, "fault space: 1980 points"),
+        (vec!["describe", "--target", "proc:victim-alloc"], 2, PROC_HINT),
+        (vec!["describe", "--target", "nosuch"], 2, "usage:"),
+        (
+            vec!["render", "--target", "coreutils", "--point", "4,0,1"],
+            0,
+            "scenario: function malloc errno ENOMEM retval 0 callNumber 1",
+        ),
+        (vec!["render", "--target", "mysql", "--point", "0,0,0"], 0, "test id:  0"),
+        (
+            vec!["render", "--target", "vfs:minidb-rewrite", "--point", "1,4,0,5"],
+            0,
+            "rule:     write #5 on * -> error-EIO",
+        ),
+        (vec!["render", "--target", "proc:victim-alloc", "--point", "0,0"], 2, PROC_HINT),
+        (vec!["render", "--target", "nosuch", "--point", "0,0,0"], 2, "usage:"),
+        (explore("coreutils").to_vec(), 0, "20 tests:"),
+        (explore("mysql").to_vec(), 0, "20 tests:"),
+        (explore("vfs:minidb-rewrite").to_vec(), 2, "is a crash-recovery target"),
+        (explore("proc:victim-alloc").to_vec(), 2, PROC_HINT),
+        (explore("nosuch").to_vec(), 2, "usage:"),
+    ];
+    for (args, code, line) in cases {
+        let out = cli().args(&args).output().unwrap();
+        assert_eq!(out.status.code(), Some(code), "{args:?}: {out:?}");
+        let text = if code == 0 { &out.stdout } else { &out.stderr };
+        let text = String::from_utf8_lossy(text);
+        assert!(text.contains(line), "{args:?}: {text}");
+    }
 }
 
 #[test]

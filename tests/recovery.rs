@@ -3,7 +3,7 @@
 //! space, the retained whole-log-rewrite specimen does not, a hunt over
 //! the specimen finds the violation, and the replay log is byte-stable.
 
-use afex::campaign::{run_hunt, vfs_target_space, HuntSpec};
+use afex::campaign::{run_hunt, HuntSpec, ResolvedTarget};
 use afex::core::campaign::TestTimeout;
 use afex::core::{ImpactMetric, StopCondition};
 use afex::inject::TestStatus;
@@ -67,10 +67,10 @@ fn hunt_finds_the_rewrite_violation() {
     // The acceptance path of `afex-cli hunt --target vfs:minidb-rewrite`:
     // a fitness-guided crash hunt over the recovery space stops at the
     // first durability violation well before the iteration cap.
-    let space_len = vfs_target_space("vfs:minidb-rewrite")
-        .unwrap()
-        .space()
-        .len();
+    let Ok(ResolvedTarget::Vfs(kind)) = ResolvedTarget::resolve("vfs:minidb-rewrite") else {
+        panic!("vfs:minidb-rewrite must resolve to a crash-recovery target");
+    };
+    let space_len = RecoverySpace::new(kind).space().len();
     let hunt = HuntSpec {
         target: "vfs:minidb-rewrite".into(),
         stop: StopCondition::Crashes {

@@ -4,7 +4,10 @@
 //! daemon is killed with SIGKILL mid-campaign and its successor must
 //! resume to a byte-identical snapshot.
 
-use std::path::{Path, PathBuf};
+mod common;
+
+use common::ScratchDir;
+use std::path::Path;
 use std::process::{Child, Command};
 use std::time::{Duration, Instant};
 
@@ -13,11 +16,8 @@ fn cli() -> Command {
 }
 
 /// A fresh per-test scratch directory under the system temp dir.
-fn scratch(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("afex-serve-test-{}-{name}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
+fn scratch(name: &str) -> ScratchDir {
+    ScratchDir::new(&format!("afex-serve-test-{}-{name}", std::process::id()))
 }
 
 /// Starts a daemon and waits until its socket accepts connections.
@@ -153,7 +153,6 @@ fn serve_runs_two_campaigns_end_to_end() {
         let path = root.join("campaigns").join("1").join(artifact);
         assert!(path.is_file(), "missing {path:?}");
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -220,7 +219,6 @@ fn kill_dash_nine_then_restart_resumes_byte_identical() {
         resumed_snap["store"]["entries"].as_array().unwrap().len(),
         "corpus.jsonl must mirror the trace store"
     );
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -317,7 +315,6 @@ fn corrupt_campaign_is_quarantined_while_sibling_resumes_byte_identical() {
         resumed, reference,
         "sibling of a quarantined campaign must still resume byte-identically"
     );
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -383,7 +380,6 @@ fn poison_campaign_fails_but_daemon_keeps_serving() {
     assert!(health.contains("failed campaign 1:"), "{health}");
     client(&socket, &["shutdown"]);
     assert!(daemon.wait().unwrap().success());
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -409,7 +405,6 @@ fn idle_daemon_answers_each_request_at_once() {
     client(&socket, &["shutdown"]);
     assert!(daemon.wait().unwrap().success());
     assert!(took < Duration::from_millis(250), "20 List requests took {took:?}");
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -435,5 +430,4 @@ fn sigterm_drains_an_idle_daemon() {
     };
     assert!(status.success(), "SIGTERM must drain and exit 0, got {status:?}");
     assert!(!socket.exists(), "daemon must remove its socket");
-    let _ = std::fs::remove_dir_all(&dir);
 }
