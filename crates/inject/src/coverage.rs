@@ -6,13 +6,18 @@
 //! and the impact metric consumes block counts (§7: "we use a combination
 //! of code coverage and exit code of the test suite").
 
-use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
+use serde::{Deserialize, Serialize, Value};
+use std::borrow::Cow;
 
 /// A set of covered basic blocks.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// The set is a sorted vector without duplicates. One test covers a few
+/// dozen blocks, so a binary search is cheaper than hashing, and marking
+/// a block of a module named by a `&'static str` stores the name without
+/// copying it. Names only become owned when a set is deserialized.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Coverage {
-    hit: HashSet<(String, u32)>,
+    hit: Vec<(Cow<'static, str>, u32)>,
 }
 
 impl Coverage {
@@ -22,13 +27,24 @@ impl Coverage {
     }
 
     /// Marks block `id` of `module` as covered.
-    pub fn mark(&mut self, module: &str, id: u32) {
-        self.hit.insert((module.to_owned(), id));
+    pub fn mark(&mut self, module: &'static str, id: u32) {
+        self.insert(Cow::Borrowed(module), id);
+    }
+
+    fn insert(&mut self, module: Cow<'static, str>, id: u32) {
+        if let Err(at) = self.find(&module, id) {
+            self.hit.insert(at, (module, id));
+        }
+    }
+
+    fn find(&self, module: &str, id: u32) -> Result<usize, usize> {
+        self.hit
+            .binary_search_by(|(m, i)| (m.as_ref(), *i).cmp(&(module, id)))
     }
 
     /// Whether a specific block was covered.
     pub fn covers(&self, module: &str, id: u32) -> bool {
-        self.hit.contains(&(module.to_owned(), id))
+        self.find(module, id).is_ok()
     }
 
     /// Number of distinct blocks covered.
@@ -53,20 +69,43 @@ impl Coverage {
 
     /// Merges another coverage set into this one (suite-level accumulation).
     pub fn merge(&mut self, other: &Coverage) {
-        for b in &other.hit {
-            self.hit.insert(b.clone());
+        for (m, i) in &other.hit {
+            self.insert(m.clone(), *i);
         }
     }
 
     /// Blocks covered by `self` but not `other` — used to quantify the
     /// *recovery code* surplus that fault injection buys (§7.2).
     pub fn difference(&self, other: &Coverage) -> usize {
-        self.hit.iter().filter(|b| !other.hit.contains(*b)).count()
+        self.iter().filter(|&(m, i)| !other.covers(m, i)).count()
     }
 
-    /// Iterates over covered blocks in unspecified order.
+    /// Iterates over covered blocks in `(module, id)` order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, u32)> {
-        self.hit.iter().map(|(m, i)| (m.as_str(), *i))
+        self.hit.iter().map(|(m, i)| (m.as_ref(), *i))
+    }
+}
+
+/// The serialized form is `{"hit": [[module, id], ...]}`.
+impl Serialize for Coverage {
+    fn to_value(&self) -> Value {
+        let hit = self.iter().map(|block| block.to_value()).collect();
+        Value::Object(vec![("hit".to_owned(), Value::Array(hit))])
+    }
+}
+
+/// Accepts the blocks in any order, with or without duplicates.
+impl Deserialize for Coverage {
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        let obj = v
+            .as_object()
+            .ok_or_else(|| serde::Error::msg("expected object for Coverage"))?;
+        let hit: Vec<(String, u32)> = serde::field(obj, "hit")?;
+        let mut coverage = Coverage::new();
+        for (m, i) in hit {
+            coverage.insert(Cow::Owned(m), i);
+        }
+        Ok(coverage)
     }
 }
 
@@ -132,5 +171,18 @@ mod tests {
         c.mark("m", 7);
         let v: Vec<_> = c.iter().collect();
         assert_eq!(v, vec![("m", 7)]);
+    }
+
+    #[test]
+    fn serde_roundtrips_in_any_order() {
+        let mut c = Coverage::new();
+        c.mark("wal", 3);
+        c.mark("engine", 9);
+        c.mark("engine", 1);
+        let json = serde_json::to_string(&c).unwrap();
+        assert_eq!(json, r#"{"hit":[["engine",1],["engine",9],["wal",3]]}"#);
+        assert_eq!(serde_json::from_str::<Coverage>(&json).unwrap(), c);
+        let shuffled = r#"{"hit":[["wal",3],["engine",1],["engine",9],["wal",3]]}"#;
+        assert_eq!(serde_json::from_str::<Coverage>(shuffled).unwrap(), c);
     }
 }

@@ -9,7 +9,7 @@
 use crate::coverage::Coverage;
 use crate::errno::Errno;
 use crate::libc_model::Func;
-use crate::outcome::InjectionRecord;
+use crate::outcome::{InjectionRecord, TestOutcome, TestStatus};
 use crate::plan::FaultPlan;
 use crate::trace::{CallStack, FrameGuard};
 use std::cell::{Cell, RefCell};
@@ -35,10 +35,13 @@ impl CallResult {
 /// Per-test injection environment: call counting, fault decisions, stack
 /// traces, and coverage.
 ///
-/// One `LibcEnv` is created per test execution and discarded afterwards,
-/// so call numbers are deterministic per workload. Methods take `&self`
-/// (interior mutability) because the environment is threaded through deep
-/// call chains in target code alongside frame guards borrowing it.
+/// One `LibcEnv` is created per test execution and consumed by
+/// [`LibcEnv::into_outcome`] afterwards, so call numbers are deterministic
+/// per workload. Methods take `&self` (interior mutability) because the
+/// environment is threaded through deep call chains in target code
+/// alongside frame guards borrowing it. Announcing a call, entering a
+/// frame and marking a block allocate nothing per call: counts live in a
+/// slot per [`Func`], and frame and module names are static.
 ///
 /// # Examples
 ///
@@ -55,7 +58,9 @@ impl CallResult {
 #[derive(Debug)]
 pub struct LibcEnv {
     plan: FaultPlan,
-    counts: RefCell<HashMap<Func, u32>>,
+    /// Calls announced so far, indexed by `Func as usize` (the position
+    /// in [`Func::ALL`]).
+    counts: [Cell<u32>; Func::ALL.len()],
     injections: RefCell<Vec<InjectionRecord>>,
     stack: CallStack,
     coverage: RefCell<Coverage>,
@@ -73,7 +78,7 @@ impl LibcEnv {
     pub fn new(plan: FaultPlan) -> Self {
         LibcEnv {
             plan,
-            counts: RefCell::new(HashMap::new()),
+            counts: [const { Cell::new(0) }; Func::ALL.len()],
             injections: RefCell::new(Vec::new()),
             stack: CallStack::new(),
             coverage: RefCell::new(Coverage::new()),
@@ -95,12 +100,9 @@ impl LibcEnv {
     /// plan targets this (1-based) call of this function; the injection is
     /// recorded with the current stack trace.
     pub fn call(&self, func: Func) -> CallResult {
-        let count = {
-            let mut counts = self.counts.borrow_mut();
-            let c = counts.entry(func).or_insert(0);
-            *c += 1;
-            *c
-        };
+        let slot = &self.counts[func as usize];
+        let count = slot.get() + 1;
+        slot.set(count);
         match self.plan.matching(func, count) {
             Some(fault) => {
                 self.injections.borrow_mut().push(InjectionRecord {
@@ -125,12 +127,12 @@ impl LibcEnv {
     }
 
     /// Pushes a stack frame for trace capture; pops when the guard drops.
-    pub fn frame(&self, name: &str) -> FrameGuard<'_> {
+    pub fn frame(&self, name: &'static str) -> FrameGuard<'_> {
         self.stack.push(name)
     }
 
     /// Marks basic block `id` of `module` as covered.
-    pub fn block(&self, module: &str, id: u32) {
+    pub fn block(&self, module: &'static str, id: u32) {
         self.coverage.borrow_mut().mark(module, id);
     }
 
@@ -147,12 +149,18 @@ impl LibcEnv {
 
     /// How many calls to `func` have been announced so far.
     pub fn call_count(&self, func: Func) -> u32 {
-        self.counts.borrow().get(&func).copied().unwrap_or(0)
+        self.counts[func as usize].get()
     }
 
-    /// All per-function call counts (the `ltrace` view).
+    /// All per-function call counts (the `ltrace` view): one entry per
+    /// function called at least once.
     pub fn call_counts(&self) -> HashMap<Func, u32> {
-        self.counts.borrow().clone()
+        Func::ALL
+            .iter()
+            .zip(&self.counts)
+            .filter(|(_, n)| n.get() > 0)
+            .map(|(&f, n)| (f, n.get()))
+            .collect()
     }
 
     /// The injections performed so far.
@@ -168,6 +176,17 @@ impl LibcEnv {
     /// Current stack rendering (used in crash messages).
     pub fn stack_trace(&self) -> String {
         self.stack.render()
+    }
+
+    /// Ends the test: moves the coverage and injections collected into
+    /// the outcome the sensors report.
+    pub fn into_outcome(self, test_id: usize, status: TestStatus) -> TestOutcome {
+        TestOutcome {
+            test_id,
+            status,
+            coverage: self.coverage.into_inner(),
+            injections: self.injections.into_inner(),
+        }
     }
 }
 
@@ -276,5 +295,29 @@ mod tests {
         env.call(Func::Open);
         let counts = env.call_counts();
         assert_eq!(counts[&Func::Open], 2);
+        assert_eq!(counts.len(), 1, "uncalled functions have no entry");
+    }
+
+    #[test]
+    fn count_slots_follow_the_canonical_order() {
+        for (i, &f) in Func::ALL.iter().enumerate() {
+            assert_eq!(f as usize, i, "{f:?}");
+        }
+    }
+
+    #[test]
+    fn into_outcome_keeps_what_the_test_collected() {
+        let env = LibcEnv::new(FaultPlan::single(Func::Read, 1, Errno::EIO));
+        let main = env.frame("main");
+        env.block("m", 4);
+        assert!(env.call(Func::Read).failed());
+        let injections = env.injections();
+        let coverage = env.coverage();
+        drop(main);
+        let o = env.into_outcome(7, TestStatus::Failed);
+        assert_eq!(o.test_id, 7);
+        assert_eq!(o.status, TestStatus::Failed);
+        assert_eq!(o.coverage, coverage);
+        assert_eq!(o.injections, injections);
     }
 }

@@ -13,7 +13,9 @@ use std::cell::RefCell;
 ///
 /// Interior mutability keeps the push/pop API usable behind shared
 /// references, matching how the injection environment is threaded through
-/// target code; targets are single-threaded per test execution.
+/// target code; targets are single-threaded per test execution. Frame
+/// names are static, so pushing a frame copies no string; owned names are
+/// built only when an injection takes a [`snapshot`](CallStack::snapshot).
 ///
 /// # Examples
 ///
@@ -30,7 +32,7 @@ use std::cell::RefCell;
 /// ```
 #[derive(Debug, Default)]
 pub struct CallStack {
-    frames: RefCell<Vec<String>>,
+    frames: RefCell<Vec<&'static str>>,
 }
 
 impl CallStack {
@@ -40,14 +42,14 @@ impl CallStack {
     }
 
     /// Pushes a frame; the frame pops when the returned guard drops.
-    pub fn push(&self, name: impl Into<String>) -> FrameGuard<'_> {
-        self.frames.borrow_mut().push(name.into());
+    pub fn push(&self, name: &'static str) -> FrameGuard<'_> {
+        self.frames.borrow_mut().push(name);
         FrameGuard { stack: self }
     }
 
     /// The current frames, outermost first.
     pub fn snapshot(&self) -> Vec<String> {
-        self.frames.borrow().clone()
+        self.frames.borrow().iter().map(|&f| f.to_owned()).collect()
     }
 
     /// Current stack depth.

@@ -107,12 +107,7 @@ pub fn run_test(target: &dyn Target, test_id: usize, plan: &FaultPlan) -> TestOu
         Ok(Err(RunError::Hang)) => TestStatus::Hung,
         Err(msg) => TestStatus::Crashed(msg),
     };
-    TestOutcome {
-        test_id,
-        status,
-        coverage: env.coverage(),
-        injections: env.injections(),
-    }
+    env.into_outcome(test_id, status)
 }
 
 /// Runs `f` with panic output suppressed, converting a panic into its

@@ -44,7 +44,7 @@ use crate::harness::catch_crash;
 use crate::minidb::engine::MiniDb;
 use crate::minidb::wal::WalMode;
 use crate::vfs::Vfs;
-use crate::vfs_fault::{Decision, FaultKind, FaultRule, PathMatch, VfsOp};
+use crate::vfs_fault::{FaultKind, FaultRule, PathMatch, VfsOp};
 use afex_inject::{Errno, LibcEnv, TestOutcome, TestStatus};
 use afex_space::{Axis, AxisKind, FaultSpace, Point, Value};
 use std::collections::BTreeMap;
@@ -120,43 +120,43 @@ enum Fate {
 /// Number of workloads per engine (the `testID` axis).
 pub const NUM_WORKLOADS: usize = 6;
 
-fn workload(kind: EngineKind, test_id: usize) -> Vec<Step> {
+fn workload(kind: EngineKind, test_id: usize) -> &'static [Step] {
     use Step::{Checkpoint, Delete, Insert};
     match kind {
         EngineKind::MiniDbAppend | EngineKind::MiniDbRewrite => match test_id {
-            0 => vec![Insert("t", 1, "alpha")],
-            1 => vec![
+            0 => &[Insert("t", 1, "alpha")],
+            1 => &[
                 Insert("t", 1, "alpha"),
                 Insert("t", 2, "beta"),
                 Insert("t", 3, "gamma"),
             ],
-            2 => vec![Insert("t", 1, "alpha"), Delete("t", 1)],
-            3 => vec![
+            2 => &[Insert("t", 1, "alpha"), Delete("t", 1)],
+            3 => &[
                 Insert("t", 1, "alpha"),
                 Insert("u", 10, "ten"),
                 Insert("t", 2, "beta"),
             ],
-            4 => vec![Insert("t", 1, "old"), Insert("t", 1, "new")],
-            _ => vec![Insert("t", 1, "alpha"), Checkpoint, Insert("t", 2, "beta")],
+            4 => &[Insert("t", 1, "old"), Insert("t", 1, "new")],
+            _ => &[Insert("t", 1, "alpha"), Checkpoint, Insert("t", 2, "beta")],
         },
         EngineKind::Docstore => match test_id {
-            0 => vec![Insert("docs", 1, "alpha")],
-            1 => vec![
+            0 => &[Insert("docs", 1, "alpha")],
+            1 => &[
                 Insert("docs", 1, "alpha"),
                 Insert("docs", 2, "beta"),
                 Insert("docs", 3, "gamma"),
             ],
-            2 => vec![Insert("docs", 1, "old"), Insert("docs", 1, "new")],
-            3 => vec![
+            2 => &[Insert("docs", 1, "old"), Insert("docs", 1, "new")],
+            3 => &[
                 Insert("docs", 1, "alpha"),
                 Checkpoint,
                 Insert("docs", 2, "beta"),
             ],
-            4 => vec![
+            4 => &[
                 Insert("docs", 1, "a-long-document-payload-with-many-bytes"),
                 Insert("docs", 2, "beta"),
             ],
-            _ => vec![
+            _ => &[
                 Insert("docs", 4, "delta"),
                 Insert("docs", 5, "epsilon"),
                 Insert("docs", 6, "zeta"),
@@ -171,19 +171,15 @@ fn workload(kind: EngineKind, test_id: usize) -> Vec<Step> {
 type DbState = BTreeMap<String, BTreeMap<u64, String>>;
 
 /// Classifies one bracketed statement result, marking the server dead on
-/// a panic (the process aborted; later statements cannot run).
+/// a panic (the process aborted; later statements cannot run). `fsynced`
+/// is whether the commit log was really fsynced during the statement.
 fn fate_of<E>(
     result: Result<Result<(), E>, String>,
-    window: &[crate::vfs_fault::LogEntry],
-    marker: &str,
+    fsynced: bool,
     server_dead: &mut bool,
 ) -> Fate {
     match result {
-        Ok(Ok(())) => Fate::Acked {
-            fsynced: window
-                .iter()
-                .any(|e| e.op == VfsOp::Fsync && e.path.contains(marker) && e.decision == Decision::Ok),
-        },
+        Ok(Ok(())) => Fate::Acked { fsynced },
         Ok(Err(_)) => Fate::Failed,
         Err(_) => {
             *server_dead = true;
@@ -231,14 +227,13 @@ fn drive_minidb(
         if dead {
             break;
         }
-        let mark = vfs.replay_log().len();
+        let mark = vfs.log_len();
         let result = match *step {
             Step::Insert(t, k, v) => catch_crash(|| db.insert(env, vfs, t, k, v)),
             Step::Delete(t, k) => catch_crash(|| db.delete(env, vfs, t, k).map(|_| ())),
             Step::Checkpoint => catch_crash(|| db.checkpoint(env, vfs)),
         };
-        let log = vfs.replay_log();
-        let fate = fate_of(result, &log[mark.min(log.len())..], marker, &mut dead);
+        let fate = fate_of(result, vfs.fsynced_since(mark, marker), &mut dead);
         fates.push((*step, fate));
     }
     fates
@@ -257,14 +252,13 @@ fn drive_docstore(env: &LibcEnv, vfs: &Vfs, steps: &[Step], marker: &str) -> Vec
         if dead {
             break;
         }
-        let mark = vfs.replay_log().len();
+        let mark = vfs.log_len();
         let result = match *step {
             Step::Insert(_, k, v) => catch_crash(|| store.insert(env, vfs, k, v)),
             Step::Delete(..) => continue, // Not part of docstore workloads.
             Step::Checkpoint => catch_crash(|| store.save(env, vfs)),
         };
-        let log = vfs.replay_log();
-        let fate = fate_of(result, &log[mark.min(log.len())..], marker, &mut dead);
+        let fate = fate_of(result, vfs.fsynced_since(mark, marker), &mut dead);
         fates.push((*step, fate));
     }
     fates
@@ -393,6 +387,20 @@ pub fn run_recovery_test_logged(
     test_id: usize,
     rule: Option<FaultRule>,
 ) -> (TestOutcome, String) {
+    let (outcome, vfs) = run_recovery(kind, test_id, rule);
+    // Phase B runs disarmed and logs nothing, so this is the workload's
+    // log as the crash left it.
+    (outcome, vfs.rendered_log())
+}
+
+/// [`run_recovery_test_logged`] without the log.
+pub fn run_recovery_test(kind: EngineKind, test_id: usize, rule: Option<FaultRule>) -> TestOutcome {
+    run_recovery(kind, test_id, rule).0
+}
+
+/// The crash-recovery test itself; returns the filesystem it ran on, so
+/// only a caller that wants the replay log renders it.
+fn run_recovery(kind: EngineKind, test_id: usize, rule: Option<FaultRule>) -> (TestOutcome, Vfs) {
     let env = LibcEnv::fault_free();
     let vfs = Vfs::new();
     match kind {
@@ -407,9 +415,9 @@ pub fn run_recovery_test_logged(
 
     // Phase A: the workload, every statement bracketed.
     let ops = match kind {
-        EngineKind::MiniDbAppend => drive_minidb(&env, &vfs, WalMode::Append, &steps, marker),
-        EngineKind::MiniDbRewrite => drive_minidb(&env, &vfs, WalMode::Rewrite, &steps, marker),
-        EngineKind::Docstore => drive_docstore(&env, &vfs, &steps, marker),
+        EngineKind::MiniDbAppend => drive_minidb(&env, &vfs, WalMode::Append, steps, marker),
+        EngineKind::MiniDbRewrite => drive_minidb(&env, &vfs, WalMode::Rewrite, steps, marker),
+        EngineKind::Docstore => drive_docstore(&env, &vfs, steps, marker),
     };
 
     // The crash: everything not durable is gone. Rules are cleared for
@@ -417,47 +425,47 @@ pub fn run_recovery_test_logged(
     // and phase B asks what a *fault-free* reopen makes of the disk.
     vfs.crash();
     vfs.clear_rules();
-    let rendered = vfs.rendered_log();
 
     // Phase B: fault-free reopen + invariants.
-    let status = match reopen(kind, &env, &vfs) {
-        Err(why) => TestStatus::Crashed(format!("recovery violation: fault-free {why}")),
-        Ok(recovered) => {
-            let valid = valid_states(&ops);
-            if !valid.contains(&recovered) {
-                TestStatus::Crashed(format!("recovery violation: {}", diagnose(&recovered, &valid)))
+    let verdict = check_recovery(kind, &env, &vfs, &ops);
+    let mut outcome = env.into_outcome(test_id, TestStatus::Passed);
+    outcome.status = match verdict {
+        Err(violation) => TestStatus::Crashed(format!("recovery violation: {violation}")),
+        Ok(()) => {
+            let clean = ops.iter().all(|(_, f)| matches!(f, Fate::Acked { .. }))
+                && ops.len() == count_driven(steps, kind);
+            if !outcome.triggered() || clean {
+                // No rule fired (a fault-space hole), or the fault was
+                // fully absorbed.
+                TestStatus::Passed
             } else {
-                // Idempotency: crash again, reopen again, same state.
-                vfs.crash();
-                match reopen(kind, &env, &vfs) {
-                    Ok(second) if second == recovered => {
-                        let clean = ops.iter().all(|(_, f)| matches!(f, Fate::Acked { .. }))
-                            && ops.len() == count_driven(&steps, kind);
-                        if env.injections().is_empty() || clean {
-                            // No rule fired (a fault-space hole), or the
-                            // fault was fully absorbed.
-                            TestStatus::Passed
-                        } else {
-                            TestStatus::Failed
-                        }
-                    }
-                    Ok(_) => TestStatus::Crashed(
-                        "recovery violation: replay not idempotent".to_owned(),
-                    ),
-                    Err(why) => {
-                        TestStatus::Crashed(format!("recovery violation: second {why}"))
-                    }
-                }
+                TestStatus::Failed
             }
         }
     };
-    let outcome = TestOutcome {
-        test_id,
-        status,
-        coverage: env.coverage(),
-        injections: env.injections(),
-    };
-    (outcome, rendered)
+    (outcome, vfs)
+}
+
+/// Phase B: reopens the crashed disk fault-free and checks the recovered
+/// state against the statements' fates, then crashes and reopens again
+/// to check that replay is idempotent. `Err` names the violation.
+fn check_recovery(
+    kind: EngineKind,
+    env: &LibcEnv,
+    vfs: &Vfs,
+    ops: &[(Step, Fate)],
+) -> Result<(), String> {
+    let recovered = reopen(kind, env, vfs).map_err(|why| format!("fault-free {why}"))?;
+    let valid = valid_states(ops);
+    if !valid.contains(&recovered) {
+        return Err(diagnose(&recovered, &valid).to_owned());
+    }
+    vfs.crash();
+    match reopen(kind, env, vfs) {
+        Ok(second) if second == recovered => Ok(()),
+        Ok(_) => Err("replay not idempotent".to_owned()),
+        Err(why) => Err(format!("second {why}")),
+    }
 }
 
 /// How many statements phase A runs when nothing dies early.
@@ -469,11 +477,6 @@ fn count_driven(steps: &[Step], kind: EngineKind) -> usize {
             .count(),
         _ => steps.len(),
     }
-}
-
-/// [`run_recovery_test_logged`] without the log.
-pub fn run_recovery_test(kind: EngineKind, test_id: usize, rule: Option<FaultRule>) -> TestOutcome {
-    run_recovery_test_logged(kind, test_id, rule).0
 }
 
 /// The fault kinds on the `fault` axis.

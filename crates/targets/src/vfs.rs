@@ -62,7 +62,7 @@ impl std::error::Error for VfsError {}
 /// Result type of VFS operations.
 pub type VfsResult<T> = Result<T, VfsError>;
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct OpenFile {
     path: String,
     offset: usize,
@@ -109,6 +109,34 @@ struct State {
     handles: BTreeMap<u64, OpenFile>,
     next_fd: u64,
     cwd: String,
+}
+
+impl State {
+    /// Opens a new descriptor on `path` at offset 0.
+    fn open_handle(&mut self, path: &str, writable: bool, append: bool) -> u64 {
+        let fd = self.next_fd;
+        self.next_fd += 1;
+        self.handles.insert(
+            fd,
+            OpenFile {
+                path: path.to_owned(),
+                offset: 0,
+                writable,
+                append,
+            },
+        );
+        fd
+    }
+}
+
+/// Empties `path` in one namespace, creating it if missing.
+fn truncate(namespace: &mut BTreeMap<String, Vec<u8>>, path: &str) {
+    match namespace.get_mut(path) {
+        Some(bytes) => bytes.clear(),
+        None => {
+            namespace.insert(path.to_owned(), Vec::new());
+        }
+    }
 }
 
 impl Vfs {
@@ -176,7 +204,19 @@ impl Vfs {
 
     /// The replay log collected since the last arming.
     pub fn replay_log(&self) -> Vec<LogEntry> {
-        self.fault.borrow().log().to_vec()
+        self.fault.borrow().log()
+    }
+
+    /// How many operations the replay log holds: a mark for
+    /// [`Vfs::fsynced_since`].
+    pub(crate) fn log_len(&self) -> usize {
+        self.fault.borrow().len()
+    }
+
+    /// Whether the replay log holds, from entry `mark` on, an fsync of a
+    /// path containing `marker` that really flushed (no fault fired).
+    pub(crate) fn fsynced_since(&self, mark: usize, marker: &str) -> bool {
+        self.fault.borrow().fsynced_since(mark, marker)
     }
 
     /// The replay log rendered one canonical line per entry.
@@ -193,7 +233,18 @@ impl Vfs {
     /// recovery phase.
     pub fn crash(&self) {
         let mut s = self.state.borrow_mut();
-        s.files = s.disk.clone();
+        let State { files, disk, .. } = &mut *s;
+        // Copy the disk over the page cache in place, reusing the names
+        // and buffers both namespaces hold.
+        files.retain(|path, _| disk.contains_key(path));
+        for (path, durable) in disk.iter() {
+            match files.get_mut(path) {
+                Some(visible) => visible.clone_from(durable),
+                None => {
+                    files.insert(path.clone(), durable.clone());
+                }
+            }
+        }
         s.handles.clear();
         s.next_fd = 3;
         s.cwd = "/".to_owned();
@@ -213,18 +264,7 @@ impl Vfs {
         if !s.files.contains_key(path) {
             return Err(VfsError::Logic(Errno::ENOENT));
         }
-        let fd = s.next_fd;
-        s.next_fd += 1;
-        s.handles.insert(
-            fd,
-            OpenFile {
-                path: path.to_owned(),
-                offset: 0,
-                writable: false,
-                append: false,
-            },
-        );
-        Ok(fd)
+        Ok(s.open_handle(path, false, false))
     }
 
     /// Opens an existing file for reading and in-place writing
@@ -240,18 +280,7 @@ impl Vfs {
         if !s.files.contains_key(path) {
             return Err(VfsError::Logic(Errno::ENOENT));
         }
-        let fd = s.next_fd;
-        s.next_fd += 1;
-        s.handles.insert(
-            fd,
-            OpenFile {
-                path: path.to_owned(),
-                offset: 0,
-                writable: true,
-                append: false,
-            },
-        );
-        Ok(fd)
+        Ok(s.open_handle(path, true, false))
     }
 
     /// Creates (or truncates) a file for writing (`open` with
@@ -267,24 +296,12 @@ impl Vfs {
             return Err(VfsError::Injected(e));
         }
         let mut s = self.state.borrow_mut();
-        let parent = Self::parent_of(path).to_owned();
-        if !s.dirs.contains_key(&parent) {
+        if !s.dirs.contains_key(Self::parent_of(path)) {
             return Err(VfsError::Logic(Errno::ENOENT));
         }
-        s.files.insert(path.to_owned(), Vec::new());
-        s.disk.insert(path.to_owned(), Vec::new());
-        let fd = s.next_fd;
-        s.next_fd += 1;
-        s.handles.insert(
-            fd,
-            OpenFile {
-                path: path.to_owned(),
-                offset: 0,
-                writable: true,
-                append: false,
-            },
-        );
-        Ok(fd)
+        truncate(&mut s.files, path);
+        truncate(&mut s.disk, path);
+        Ok(s.open_handle(path, true, false))
     }
 
     /// Opens a file for appending, creating it if missing (`open` with
@@ -298,8 +315,7 @@ impl Vfs {
             return Err(VfsError::Injected(e));
         }
         let mut s = self.state.borrow_mut();
-        let parent = Self::parent_of(path).to_owned();
-        if !s.dirs.contains_key(&parent) {
+        if !s.dirs.contains_key(Self::parent_of(path)) {
             return Err(VfsError::Logic(Errno::ENOENT));
         }
         if !s.files.contains_key(path) {
@@ -307,18 +323,7 @@ impl Vfs {
             s.files.insert(path.to_owned(), Vec::new());
             s.disk.insert(path.to_owned(), Vec::new());
         }
-        let fd = s.next_fd;
-        s.next_fd += 1;
-        s.handles.insert(
-            fd,
-            OpenFile {
-                path: path.to_owned(),
-                offset: 0,
-                writable: true,
-                append: true,
-            },
-        );
-        Ok(fd)
+        Ok(s.open_handle(path, true, true))
     }
 
     /// Reads up to `len` bytes from an open handle (`read`).
@@ -326,23 +331,18 @@ impl Vfs {
         if let CallResult::Fail(e) = env.call(Func::Read) {
             return Err(VfsError::Injected(e));
         }
-        let h = {
-            let s = self.state.borrow();
-            let Some(h) = s.handles.get(&fd).cloned() else {
-                return Err(VfsError::Logic(Errno::EBADF));
-            };
-            h
+        let mut s = self.state.borrow_mut();
+        let State { files, handles, .. } = &mut *s;
+        let Some(h) = handles.get_mut(&fd) else {
+            return Err(VfsError::Logic(Errno::EBADF));
         };
         if let Decision::Error(e) = self.decide(env, VfsOp::Read, &h.path, len) {
             return Err(VfsError::Injected(e));
         }
-        let mut s = self.state.borrow_mut();
-        let data = s.files.get(&h.path).cloned().unwrap_or_default();
+        let data = files.get(&h.path).map_or(&[][..], Vec::as_slice);
         let end = (h.offset + len).min(data.len());
         let chunk = data[h.offset.min(data.len())..end].to_vec();
-        if let Some(hm) = s.handles.get_mut(&fd) {
-            hm.offset = end;
-        }
+        h.offset = end;
         Ok(chunk)
     }
 
@@ -359,12 +359,10 @@ impl Vfs {
         if let CallResult::Fail(e) = env.call(Func::Write) {
             return Err(VfsError::Injected(e));
         }
-        let h = {
-            let s = self.state.borrow();
-            let Some(h) = s.handles.get(&fd).cloned() else {
-                return Err(VfsError::Logic(Errno::EBADF));
-            };
-            h
+        let mut s = self.state.borrow_mut();
+        let State { files, handles, .. } = &mut *s;
+        let Some(h) = handles.get_mut(&fd) else {
+            return Err(VfsError::Logic(Errno::EBADF));
         };
         if !h.writable {
             return Err(VfsError::Logic(Errno::EBADF));
@@ -374,8 +372,12 @@ impl Vfs {
             Decision::Short => bytes.len() / 2,
             _ => bytes.len(),
         };
-        let mut s = self.state.borrow_mut();
-        let file = s.files.entry(h.path.clone()).or_default();
+        if !files.contains_key(&h.path) {
+            // The file was unlinked under the open handle: the write
+            // brings it back into the visible namespace.
+            files.insert(h.path.clone(), Vec::new());
+        }
+        let file = files.get_mut(&h.path).expect("inserted above");
         let off = if h.append {
             file.len()
         } else {
@@ -385,10 +387,7 @@ impl Vfs {
             file.resize(off + n, 0);
         }
         file[off..off + n].copy_from_slice(&bytes[..n]);
-        let new_off = off + n;
-        if let Some(hm) = s.handles.get_mut(&fd) {
-            hm.offset = new_off;
-        }
+        h.offset = off + n;
         Ok(n)
     }
 
@@ -399,26 +398,28 @@ impl Vfs {
         if let CallResult::Fail(e) = env.call(Func::Fsync) {
             return Err(VfsError::Injected(e));
         }
-        let h = {
-            let s = self.state.borrow();
-            let Some(h) = s.handles.get(&fd).cloned() else {
-                return Err(VfsError::Logic(Errno::EBADF));
-            };
-            h
+        let mut s = self.state.borrow_mut();
+        let State {
+            files,
+            disk,
+            handles,
+            ..
+        } = &mut *s;
+        let Some(h) = handles.get(&fd) else {
+            return Err(VfsError::Logic(Errno::EBADF));
         };
-        let len = self
-            .state
-            .borrow()
-            .files
-            .get(&h.path)
-            .map_or(0, Vec::len);
-        match self.decide(env, VfsOp::Fsync, &h.path, len) {
+        let visible = files.get(&h.path);
+        match self.decide(env, VfsOp::Fsync, &h.path, visible.map_or(0, Vec::len)) {
             Decision::Error(e) => Err(VfsError::Injected(e)),
             Decision::DroppedFsync => Ok(()),
             _ => {
-                let mut s = self.state.borrow_mut();
-                if let Some(data) = s.files.get(&h.path).cloned() {
-                    s.disk.insert(h.path.clone(), data);
+                if let Some(data) = visible {
+                    match disk.get_mut(&h.path) {
+                        Some(durable) => durable.clone_from(data),
+                        None => {
+                            disk.insert(h.path.clone(), data.clone());
+                        }
+                    }
                 }
                 Ok(())
             }
@@ -432,18 +433,13 @@ impl Vfs {
             self.state.borrow_mut().handles.remove(&fd);
             return Err(VfsError::Injected(e));
         }
-        let path = {
-            let s = self.state.borrow();
-            s.handles.get(&fd).map(|h| h.path.clone())
-        };
-        let Some(path) = path else {
+        // Failed or not, the close releases the descriptor.
+        let Some(h) = self.state.borrow_mut().handles.remove(&fd) else {
             return Err(VfsError::Logic(Errno::EBADF));
         };
-        if let Decision::Error(e) = self.decide(env, VfsOp::Close, &path, 0) {
-            self.state.borrow_mut().handles.remove(&fd);
+        if let Decision::Error(e) = self.decide(env, VfsOp::Close, &h.path, 0) {
             return Err(VfsError::Injected(e));
         }
-        self.state.borrow_mut().handles.remove(&fd);
         Ok(())
     }
 

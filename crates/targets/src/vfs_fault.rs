@@ -226,14 +226,15 @@ pub enum Decision {
     Torn,
 }
 
-impl Decision {
-    fn name(self) -> String {
+/// The decision's spelling in replay logs.
+impl fmt::Display for Decision {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Decision::Ok => "ok".to_owned(),
-            Decision::Error(e) => format!("error-{e}"),
-            Decision::Short => "short".to_owned(),
-            Decision::DroppedFsync => "dropped-fsync".to_owned(),
-            Decision::Torn => "torn".to_owned(),
+            Decision::Ok => f.write_str("ok"),
+            Decision::Error(e) => write!(f, "error-{e}"),
+            Decision::Short => f.write_str("short"),
+            Decision::DroppedFsync => f.write_str("dropped-fsync"),
+            Decision::Torn => f.write_str("torn"),
         }
     }
 }
@@ -260,16 +261,50 @@ impl LogEntry {
     /// Canonical one-line rendering; the concatenation over a run is the
     /// byte-identical determinism witness.
     pub fn render(&self) -> String {
-        format!(
-            "#{:04} {} {} {}B/{}B {}",
+        self.to_string()
+    }
+}
+
+impl fmt::Display for LogEntry {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write_line(
+            f,
             self.seq,
             self.op,
-            self.path,
+            &self.path,
             self.applied,
             self.requested,
-            self.decision.name()
+            self.decision,
         )
     }
+}
+
+/// Writes one replay-log line, without its newline.
+fn write_line(
+    out: &mut impl fmt::Write,
+    seq: u64,
+    op: VfsOp,
+    path: &str,
+    applied: usize,
+    requested: usize,
+    decision: Decision,
+) -> fmt::Result {
+    write!(
+        out,
+        "#{seq:04} {op} {path} {applied}B/{requested}B {decision}"
+    )
+}
+
+/// A logged operation as the layer stores it: the path is an index into
+/// the layer's table of distinct paths, so logging an op copies no
+/// string. Its position in the log is its sequence number.
+#[derive(Debug, Clone, Copy)]
+struct Logged {
+    op: VfsOp,
+    path: usize,
+    decision: Decision,
+    requested: usize,
+    applied: usize,
 }
 
 /// The armed rule set plus the replay log. Owned by the VFS behind a
@@ -279,8 +314,9 @@ pub struct FaultLayer {
     armed: bool,
     /// Each rule with its match counter and whether it already fired.
     rules: Vec<(FaultRule, u32, bool)>,
-    log: Vec<LogEntry>,
-    seq: u64,
+    log: Vec<Logged>,
+    /// The distinct paths the log names, in first-logged order.
+    paths: Vec<String>,
 }
 
 impl FaultLayer {
@@ -291,7 +327,7 @@ impl FaultLayer {
         self.armed = true;
         self.rules = rules.into_iter().map(|r| (r, 0, false)).collect();
         self.log.clear();
-        self.seq = 0;
+        self.paths.clear();
     }
 
     /// Disarms the layer: no further rules fire and no ops are logged.
@@ -334,29 +370,69 @@ impl FaultLayer {
             Decision::Short => requested / 2,
             _ => requested,
         };
-        self.log.push(LogEntry {
-            seq: self.seq,
+        let path = match self.paths.iter().position(|p| p == path) {
+            Some(i) => i,
+            None => {
+                self.paths.push(path.to_owned());
+                self.paths.len() - 1
+            }
+        };
+        self.log.push(Logged {
             op,
-            path: path.to_owned(),
+            path,
             decision,
             requested,
             applied,
         });
-        self.seq += 1;
         decision
     }
 
+    /// How many operations the log holds.
+    pub(crate) fn len(&self) -> usize {
+        self.log.len()
+    }
+
+    /// Whether the log holds, from entry `mark` on, an fsync of a path
+    /// containing `marker` that no rule faulted.
+    pub(crate) fn fsynced_since(&self, mark: usize, marker: &str) -> bool {
+        self.log.get(mark..).unwrap_or_default().iter().any(|e| {
+            e.op == VfsOp::Fsync
+                && e.decision == Decision::Ok
+                && self.paths[e.path].contains(marker)
+        })
+    }
+
     /// The replay log collected since the last arming.
-    pub fn log(&self) -> &[LogEntry] {
-        &self.log
+    pub fn log(&self) -> Vec<LogEntry> {
+        self.log
+            .iter()
+            .zip(0..)
+            .map(|(e, seq)| LogEntry {
+                seq,
+                op: e.op,
+                path: self.paths[e.path].clone(),
+                decision: e.decision,
+                requested: e.requested,
+                applied: e.applied,
+            })
+            .collect()
     }
 
     /// The whole log rendered one entry per line — byte-identical across
     /// runs of the same workload under the same rules.
     pub fn rendered(&self) -> String {
         let mut out = String::new();
-        for e in &self.log {
-            out.push_str(&e.render());
+        for (e, seq) in self.log.iter().zip(0..) {
+            // Writing into a `String` cannot fail.
+            let _ = write_line(
+                &mut out,
+                seq,
+                e.op,
+                &self.paths[e.path],
+                e.applied,
+                e.requested,
+                e.decision,
+            );
             out.push('\n');
         }
         out

@@ -236,7 +236,9 @@ impl CampaignDir {
     }
 
     /// Writes `summary.json` and returns the report. Callers finish only
-    /// a complete campaign whose last checkpoint landed.
+    /// a complete campaign whose last checkpoint landed. A summary that
+    /// already holds these bytes (a restart or `--resume` of a finished
+    /// campaign) is left as it is; a missing or torn one is rewritten.
     ///
     /// # Errors
     ///
@@ -249,7 +251,10 @@ impl CampaignDir {
         let report = CampaignReport::from_snapshot(snap);
         let path = self.dir.join(SUMMARY);
         let body = report.to_json() + "\n";
-        retry_io(on_retry, || std::fs::write(&path, &body)).map_err(RunStep::Summary.at(&path))?;
+        if std::fs::read(&path).ok().as_deref() != Some(body.as_bytes()) {
+            retry_io(on_retry, || std::fs::write(&path, &body))
+                .map_err(RunStep::Summary.at(&path))?;
+        }
         Ok(report)
     }
 

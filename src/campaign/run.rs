@@ -414,7 +414,9 @@ impl CorpusExporter {
     /// the next `sync`. The sidecar offset index is rewritten from the
     /// healed record file, which both heals its own tears (a kill lands
     /// between the record append and the index append) and builds it
-    /// for exports written before the index existed.
+    /// for exports written before the index existed. A healthy export
+    /// is left untouched: neither file is written when the record file
+    /// has no torn tail and the sidecar already holds its offsets.
     ///
     /// # Errors
     ///
@@ -446,14 +448,14 @@ impl CorpusExporter {
             .create(true)
             .append(true)
             .open(path)?;
-        file.set_len(complete as u64)?;
-        let mut idx = std::fs::OpenOptions::new()
-            .create(true)
-            .write(true)
-            .truncate(true)
-            .open(with_suffix(path, ".idx"))?;
-        idx.write_all(offsets.as_bytes())?;
-        idx.flush()?;
+        if existing.len() != complete {
+            file.set_len(complete as u64)?;
+        }
+        let idx_path = with_suffix(path, ".idx");
+        if std::fs::read(&idx_path).ok().as_deref() != Some(offsets.as_bytes()) {
+            std::fs::write(&idx_path, &offsets)?;
+        }
+        let idx = std::fs::OpenOptions::new().append(true).open(&idx_path)?;
         Ok(CorpusExporter {
             file,
             idx,

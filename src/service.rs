@@ -456,8 +456,10 @@ impl CampaignService {
         let mut snap = load_snapshot(&snap_path, self.stats.on_retry())?;
         // Converge the reloaded snapshot's trace index before anything
         // reads it: a no-op on index-carrying snapshots, a one-time
-        // heal (persisted at the next checkpoint) on pre-index ones.
+        // heal on pre-index ones, checkpointed below.
+        let loaded_index = snap.trace_index().clone();
         snap.ensure_trace_index();
+        let healed = *snap.trace_index() != loaded_index;
         {
             let mut global = self.global.lock().expect("global poisoned");
             absorb_into_global(&mut global, &preseed, &snap);
@@ -472,6 +474,9 @@ impl CampaignService {
             error: None,
             row: None,
         };
+        if healed {
+            job.checkpoint(&self.stats);
+        }
         // A kill between the last checkpoint and the summary write
         // leaves a complete snapshot without its summary; land it.
         job.finish(&self.stats);
@@ -766,8 +771,11 @@ impl CampaignService {
 
     /// Graceful shutdown: the pool stops picking new cells, in-flight
     /// cells finish and checkpoint through their callbacks, the workers
-    /// join, and every job gets one final checkpoint. Un-run cells stay
-    /// pending in their snapshots; reopening the root resumes them.
+    /// join, and every degraded job gets one final checkpoint. A healthy
+    /// job's directory already holds its state — every recorded cell and
+    /// every replay heal was checkpointed when it happened — so shutdown
+    /// writes nothing for it. Un-run cells stay pending in their
+    /// snapshots; reopening the root resumes them.
     pub fn shutdown(self) {
         self.pool.drain();
         let jobs: Vec<Arc<Mutex<Job>>> = {
@@ -776,7 +784,9 @@ impl CampaignService {
         };
         for job in jobs {
             let mut j = job.lock().expect("job poisoned");
-            j.checkpoint(&self.stats);
+            if j.error.is_some() {
+                j.checkpoint(&self.stats);
+            }
             // A campaign that completed while its disk was degraded
             // gets its summary landed here, now that the final
             // checkpoint has flushed.
@@ -987,10 +997,6 @@ mod tests {
 
     #[test]
     fn reopening_a_root_resumes_incomplete_campaigns_identically() {
-        // Six same-target cells serialize on one chain, so when the
-        // poll below first sees >= 1 done, at most one more can be in
-        // flight — the shutdown reliably interrupts mid-campaign even
-        // on a loaded test machine.
         let root = tmp_root("resume");
         // Run a reference campaign to completion in one service life.
         {
@@ -999,34 +1005,25 @@ mod tests {
             service.wait_idle();
             service.shutdown();
         }
-        let reference =
-            std::fs::read_to_string(root.join("campaigns").join("1").join("campaign.json"))
-                .unwrap();
-        let _ = std::fs::remove_dir_all(&root);
+        let dir = root.join("campaigns").join("1");
+        let reference = std::fs::read_to_string(dir.join("campaign.json")).unwrap();
 
-        // Same spec, but the first service life is cut down after the
-        // first checkpoint — shutdown() here stands in for the kill,
-        // with the integration test covering the real kill -9.
-        {
-            let service = CampaignService::open(&root, 2).unwrap();
-            let id = service.submit(&docstore_opts(6)).unwrap();
-            let snap_path = service.campaign_dir(id).join("campaign.json");
-            loop {
-                if let Ok(text) = std::fs::read_to_string(&snap_path) {
-                    if let Ok(snap) = CampaignSnapshot::from_json(&text) {
-                        if snap.done_count() >= 1 {
-                            break;
-                        }
-                    }
-                }
-                std::thread::sleep(std::time::Duration::from_millis(5));
-            }
-            service.shutdown();
+        // Roll the directory back to what a kill right after the first
+        // cell's checkpoint leaves: one done cell of the six that
+        // serialize on the one chain, no summary, and an export that the
+        // reopen rebuilds from the snapshot. (The integration tests cover
+        // the real kill -9.)
+        let mut partial = CampaignSnapshot::from_json(&reference).unwrap();
+        for state in &mut partial.cells[1..] {
+            state.outcome = None;
         }
-        let interrupted =
-            std::fs::read_to_string(root.join("campaigns").join("1").join("campaign.json"))
-                .unwrap();
-        let partial = CampaignSnapshot::from_json(&interrupted).unwrap();
+        partial.rebuild_store();
+        for stale in ["summary.json", "corpus.jsonl", "corpus.jsonl.idx"] {
+            std::fs::remove_file(dir.join(stale)).unwrap();
+        }
+        std::fs::remove_file(dir.join("campaign.json.bak")).unwrap();
+        std::fs::write(dir.join("campaign.json"), partial.to_json() + "\n").unwrap();
+        assert_eq!(partial.done_count(), 1);
         assert!(
             !partial.is_complete(),
             "the campaign must have been interrupted mid-run"

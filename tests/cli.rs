@@ -2,7 +2,7 @@
 
 mod common;
 
-use common::ScratchDir;
+use common::{file_stamps, ScratchDir, STAMP_GAP};
 use std::process::Command;
 
 fn cli() -> Command {
@@ -838,6 +838,34 @@ fn campaign_lands_its_snapshot_before_the_first_cell() {
         serde_json::from_str(&std::fs::read_to_string(out.join("campaign.json")).unwrap())
             .expect("snapshot parses");
     assert_eq!((snap.done_count(), snap.cells.len()), (0, 1));
+}
+
+#[test]
+fn campaign_resume_of_a_finished_run_writes_nothing() {
+    let out = scratch("campaign-resume-idle");
+    let export = out.join("corpus.jsonl");
+    let run = cli()
+        .args(campaign_args(&out))
+        .arg("--export")
+        .arg(&export)
+        .output()
+        .unwrap();
+    assert!(run.status.success(), "{run:?}");
+    let before = file_stamps(&out);
+    std::thread::sleep(STAMP_GAP);
+    let resumed = cli()
+        .args(["campaign", "--resume", "--out"])
+        .arg(&*out)
+        .arg("--export")
+        .arg(&export)
+        .output()
+        .unwrap();
+    assert!(resumed.status.success(), "{resumed:?}");
+    assert_eq!(
+        file_stamps(&out),
+        before,
+        "resuming a finished campaign must leave every file as it was"
+    );
 }
 
 #[test]

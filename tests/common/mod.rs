@@ -1,8 +1,10 @@
 //! Support shared by the integration tests.
 
+use std::collections::BTreeMap;
 use std::ffi::OsStr;
 use std::ops::Deref;
 use std::path::{Path, PathBuf};
+use std::time::{Duration, SystemTime};
 
 /// A scratch directory under the system temp dir, created empty and
 /// removed when dropped — unless the test is panicking, so a failing test
@@ -47,3 +49,27 @@ impl AsRef<OsStr> for ScratchDir {
         self.0.as_os_str()
     }
 }
+
+/// The length and modification time of every file under `dir`, by path.
+/// Two equal listings taken [`STAMP_GAP`] or more apart mean that nothing
+/// under `dir` was created, removed or written in between.
+pub fn file_stamps(dir: &Path) -> BTreeMap<PathBuf, (u64, SystemTime)> {
+    let mut stamps = BTreeMap::new();
+    let mut pending = vec![dir.to_owned()];
+    while let Some(dir) = pending.pop() {
+        for entry in std::fs::read_dir(&dir).unwrap() {
+            let entry = entry.unwrap();
+            let meta = entry.metadata().unwrap();
+            if meta.is_dir() {
+                pending.push(entry.path());
+            } else {
+                stamps.insert(entry.path(), (meta.len(), meta.modified().unwrap()));
+            }
+        }
+    }
+    stamps
+}
+
+/// Longer than the file system's timestamp granularity, so a write made
+/// this long after a listing moves the file's modification time.
+pub const STAMP_GAP: Duration = Duration::from_millis(50);

@@ -6,7 +6,7 @@
 
 mod common;
 
-use common::ScratchDir;
+use common::{file_stamps, ScratchDir, STAMP_GAP};
 use std::path::Path;
 use std::process::{Child, Command};
 use std::time::{Duration, Instant};
@@ -153,6 +153,38 @@ fn serve_runs_two_campaigns_end_to_end() {
         let path = root.join("campaigns").join("1").join(artifact);
         assert!(path.is_file(), "missing {path:?}");
     }
+}
+
+#[test]
+fn restart_and_shutdown_of_a_complete_root_write_nothing() {
+    let dir = scratch("idle-restart");
+    let socket = dir.join("afex.sock");
+    let root = dir.join("svc");
+    let mut daemon = start_daemon(&socket, &root, "2");
+    for target in ["docstore-0.8", "vfs:docstore-recovery"] {
+        client(
+            &socket,
+            &["submit", "--targets", target, "--iterations", "40"],
+        );
+    }
+    wait_complete(&socket, "1");
+    wait_complete(&socket, "2");
+    client(&socket, &["shutdown"]);
+    assert!(daemon.wait().unwrap().success());
+
+    // Open the complete root again and shut it down: the replay and the
+    // drain find every file already in its final state.
+    let before = file_stamps(&root);
+    std::thread::sleep(STAMP_GAP);
+    let mut daemon = start_daemon(&socket, &root, "2");
+    assert!(cells_done(&socket, "2").1, "campaign 2 must reload");
+    client(&socket, &["shutdown"]);
+    assert!(daemon.wait().unwrap().success());
+    assert_eq!(
+        file_stamps(&root),
+        before,
+        "a restart and shutdown of a complete root must leave every file as it was"
+    );
 }
 
 #[test]
