@@ -701,8 +701,9 @@ impl TraceIndex {
     /// index was persisted, reordered entries, a pre-index snapshot with
     /// no store at all — triggers a rebuild that copies matching entries
     /// wholesale from the old store ([`TraceStore::intern_from`], zero
-    /// re-decode) and measures only genuinely new traces.
-    fn sync_prefix(&mut self, cells: &[CellState], target: &str) {
+    /// re-decode) and measures only genuinely new traces. Returns
+    /// whether the target's store changed.
+    fn sync_prefix(&mut self, cells: &[CellState], target: &str) -> bool {
         let mut done = 0usize;
         let mut traces: Vec<&Arc<str>> = Vec::new();
         for state in cells.iter().filter(|s| s.cell.target == target) {
@@ -730,10 +731,11 @@ impl TraceIndex {
         // Mirror the incremental path's shape: a store entry exists
         // exactly when the target has a completed cell.
         if intact {
+            let had_store = old.is_some();
             if done > 0 {
                 self.stores.insert(target.to_owned(), old.unwrap_or_default());
             }
-            return;
+            return had_store != (done > 0);
         }
         let mut store = TraceStore::new();
         for trace in traces {
@@ -745,6 +747,7 @@ impl TraceIndex {
         if done > 0 {
             self.stores.insert(target.to_owned(), store);
         }
+        true
     }
 }
 
@@ -854,11 +857,16 @@ impl CampaignSnapshot {
     /// (pre-index, hand-rolled-back with stale index entries, damaged)
     /// it rebuilds the target's store, copying every entry the old
     /// store can donate without re-decoding. Campaign runners call this
-    /// once after loading, before deriving chain seeds.
-    pub fn ensure_trace_index(&mut self) {
+    /// once after loading, before deriving chain seeds. Returns whether
+    /// the index changed, that is, whether the persisted one was not
+    /// already canonical and the snapshot needs a checkpoint to keep
+    /// the heal.
+    pub fn ensure_trace_index(&mut self) -> bool {
+        let mut healed = false;
         for target in &self.spec.targets {
-            self.trace_index.sync_prefix(&self.cells, target);
+            healed |= self.trace_index.sync_prefix(&self.cells, target);
         }
+        healed
     }
 
     /// Rebuilds the store and trace index from scratch over all
@@ -1460,7 +1468,7 @@ mod tests {
         // converging it is pure dedup — zero decode passes.
         let mut back = CampaignSnapshot::from_json(&json).unwrap();
         assert_eq!(back, snap);
-        back.ensure_trace_index();
+        assert!(!back.ensure_trace_index(), "an intact index needs no heal");
         assert_eq!(back.trace_index().decodes(), 0, "intact index must not decode");
         assert_eq!(*back.trace_index(), *snap.trace_index());
         assert_eq!(back.to_json(), json);
@@ -1471,7 +1479,7 @@ mod tests {
         let old_style = format!("{}\n}}", &json[..cut]);
         let mut healed = CampaignSnapshot::from_json(&old_style).expect("pre-index parses");
         assert!(healed.trace_index().stores().next().is_none());
-        healed.ensure_trace_index();
+        assert!(healed.ensure_trace_index(), "a pre-index snapshot heals");
         assert_eq!(healed, snap);
         assert_eq!(healed.to_json(), json);
     }
@@ -1489,7 +1497,7 @@ mod tests {
         snap.record(4, outcome(&[7], 4));
         let mut rolled = CampaignSnapshot::from_json(&snap.to_json()).unwrap();
         rolled.cells[1].outcome = None;
-        rolled.ensure_trace_index();
+        assert!(rolled.ensure_trace_index(), "a stale index is healed");
         assert_eq!(rolled.trace_index().decodes(), 0, "rebuild donates, never decodes");
         let alpha = rolled.trace_index().store_for("alpha").expect("prefix kept");
         let texts: Vec<&str> = alpha.texts().map(|t| t.as_ref()).collect();

@@ -457,9 +457,7 @@ impl CampaignService {
         // Converge the reloaded snapshot's trace index before anything
         // reads it: a no-op on index-carrying snapshots, a one-time
         // heal on pre-index ones, checkpointed below.
-        let loaded_index = snap.trace_index().clone();
-        snap.ensure_trace_index();
-        let healed = *snap.trace_index() != loaded_index;
+        let healed = snap.ensure_trace_index();
         {
             let mut global = self.global.lock().expect("global poisoned");
             absorb_into_global(&mut global, &preseed, &snap);
@@ -1041,6 +1039,30 @@ mod tests {
             std::fs::read_to_string(root.join("campaigns").join("1").join("campaign.json"))
                 .unwrap();
         assert_eq!(resumed, reference, "resume must be byte-identical");
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn reopening_a_root_persists_the_heal_of_a_pre_index_snapshot() {
+        let root = tmp_root("preindex");
+        {
+            let service = CampaignService::open(&root, 2).unwrap();
+            service.submit(&docstore_opts(2)).unwrap();
+            service.wait_idle();
+            service.shutdown();
+        }
+        let path = root.join("campaigns").join("1").join("campaign.json");
+        let reference = std::fs::read_to_string(&path).unwrap();
+        // A complete snapshot written before the trace index existed:
+        // the same bytes without the index, its last field.
+        let cut = reference.find(",\n  \"trace_index\"").expect("last field");
+        std::fs::write(&path, format!("{}\n}}\n", &reference[..cut])).unwrap();
+
+        // The job is complete, so nothing else checkpoints it: the
+        // replay must land the healed index itself.
+        CampaignService::open(&root, 2).unwrap().shutdown();
+        let healed = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(healed, reference, "the heal must be checkpointed");
         let _ = std::fs::remove_dir_all(&root);
     }
 

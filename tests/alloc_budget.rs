@@ -28,11 +28,8 @@ const SUITE_POINTS: usize = 1_000;
 /// Points per `vfs:*` kind.
 const VFS_POINTS: usize = 300;
 
-// The ceilings below are the measured means plus about 10 %. Before the
-// substrate stopped allocating for bookkeeping, the same point sets made
-// (allocations per test): coreutils 58.0, minidb 177.0, httpd 101.6,
-// docstore-0.8 35.4, docstore-2.0 67.6, vfs:minidb-recovery 586.0,
-// vfs:minidb-rewrite 563.6, vfs:docstore-recovery 213.8.
+// The ceilings below are the measured means plus about 10 %; PERF.md
+// (Layer 13) lists the measured counts.
 
 struct Counting;
 
